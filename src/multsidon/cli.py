@@ -6,7 +6,8 @@ Rationals are serialised as exact "numerator/denominator" strings and all
 decimals are truncated, never rounded, with the digit count stated.
 
 Exit codes: 0 on success, 2 on invalid parameters or malformed input,
-3 when an internal cross-check fails (which would indicate a bug).
+3 when an internal cross-check fails (which would indicate a bug) or a
+converge-mode estimate does not stabilise within the cutoff limit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from . import pair_sidon
 from .components import TripleParams
-from .density import approximate_density, convergence_estimate
+from .density import ConvergenceError, approximate_density, convergence_estimate
 from .oracle import (
     VerificationError,
     empirical_density,
@@ -390,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
+        return 3
+    except ConvergenceError as exc:
+        print(f"no estimate: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

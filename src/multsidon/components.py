@@ -161,24 +161,24 @@ def alpha_complete(height: int) -> int:
     return (i + 1) ** 2
 
 
+def sorted_cells(params: TripleParams, height: int) -> list[tuple[int, int, int]]:
+    """Cells (value, x, y) of the unit component of the given height, by value."""
+    pa, pb, pc = ([base**i for i in range(height + 1)] for base in (params.a, params.b, params.c))
+    return sorted(
+        [(pa[height - x - y] * pb[x] * pc[y], x, y)
+         for x in range(height + 1) for y in range(height + 1 - x)]
+    )
+
+
 @lru_cache(maxsize=None)
 def _f_arrays(params: TripleParams, height: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sorted unit-component values and running best parity-class size."""
-    a, b, c = params.a, params.b, params.c
-    cells = []
-    for x in range(height + 1):
-        for y in range(height + 1 - x):
-            cells.append((a ** (height - x - y) * b**x * c**y, (x + y) % 2))
-    cells.sort()
     values, plateaus = [], []
-    even = odd = 0
-    for value, parity in cells:
-        if parity:
-            odd += 1
-        else:
-            even += 1
+    counts = [0, 0]
+    for value, x, y in sorted_cells(params, height):
+        counts[(x + y) % 2] += 1
         values.append(value)
-        plateaus.append(max(even, odd))
+        plateaus.append(max(counts))
     return tuple(values), tuple(plateaus)
 
 

@@ -14,8 +14,13 @@ component types of the divisibility graph relative to a height cutoff d:
 
 So [delta_C + delta_S(d), delta_C + delta_S(d) + tail(d)] is a certified
 enclosure of the true density, of width tail(d) <= eps once d is large
-enough.  The inner sum over r is evaluated by telescoping 1/(r(r+1))
-across the plateaus of the step function f, never term by term.
+enough.  delta_S(d) is one integer sum: with cell values v_0 < v_1 < ...
+of height p and f_k the plateau of f(p, .) on [v_k, v_{k+1}), telescoping
+1/(r(r+1)) and summing by parts give sum_k f_k (1/v_k - 1/v_{k+1}) =
+(sum of 1/v_k over rising plateaus, f_k = f_{k-1} + 1) - f_last / c^p.
+Each 1/v_k = a^(x+y) b^(p-x) c^(p-y) / (abc)^p, so height p adds one integer
+numerator N_p, and delta_S(d) = K * sum_p N_p (abc)^(d-p) / (abc)^d is
+accumulated by Horner's rule into a single Fraction.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .components import TripleParams, _f_arrays, admissible_density
+from .components import TripleParams, admissible_density, sorted_cells
 from .rational import truncated_decimal
 
 MAX_CONVERGENCE_DIGITS = 12
@@ -43,28 +48,33 @@ def delta_complete(params: TripleParams) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _height_contribution(params: TripleParams, height: int) -> Fraction:
-    """K * sum over r in [a^p, c^p - 1] of f(p, r)/(r(r+1)), telescoped.
-
-    f is constant between consecutive component values v_k < v_{k+1}, and
-    sum_{r=v_k}^{v_{k+1}-1} 1/(r(r+1)) = 1/v_k - 1/v_{k+1}, so the double
-    sum collapses to one term per breakpoint.  Height 0 has a single
-    breakpoint and contributes nothing (the r-range [1, 0] is empty).
-    """
-    values, plateaus = _f_arrays(params, height)
-    total = Fraction(0)
-    for k in range(len(values) - 1):
-        total += plateaus[k] * (Fraction(1, values[k]) - Fraction(1, values[k + 1]))
-    return admissible_density(params) * total
+def _height_numerator(params: TripleParams, height: int) -> int:
+    """N_p: (abc)^p / v per rising plateau, less f_last * (abc)^p / c^p."""
+    top = (params.a * params.b * params.c) ** height
+    counts = [0, 0]
+    best = total = 0
+    for value, x, y in sorted_cells(params, height):
+        parity = (x + y) % 2
+        counts[parity] += 1
+        if counts[parity] > best:
+            best += 1
+            total += top // value
+    return total - best * (params.a * params.b) ** height
 
 
 def delta_small(params: TripleParams, cutoff: int) -> Fraction:
-    """Exact density contribution of incomplete components of height <= cutoff."""
+    """Exact density contribution of incomplete components of height <= cutoff.
+
+    The N_p are summed over the common denominator (abc)^cutoff in integers.
+    """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    return sum(
-        (_height_contribution(params, p) for p in range(cutoff + 1)), Fraction(0)
-    )
+    abc = params.a * params.b * params.c
+    total = 0
+    for p in range(cutoff + 1):
+        total = total * abc + _height_numerator(params, p)
+    k = admissible_density(params)
+    return Fraction(k.numerator * total, k.denominator * abc**cutoff)
 
 
 def tail_bound(params: TripleParams, cutoff: int) -> Fraction:
@@ -144,26 +154,31 @@ def approximate_density(
 ) -> DensityInterval:
     """Enclose the maximum density to within eps (or at a forced cutoff).
 
-    Exactly one of eps and cutoff may drive the computation: given eps,
-    the cheapest sufficient cutoff is chosen and the interval width is at
-    most eps; given a cutoff, the achieved tail bound is reported as the
-    precision.  The upper end is clamped to 1 since densities are proper.
+    Given only eps, the cheapest sufficient cutoff is chosen and the
+    interval width is at most eps; given only a cutoff, the achieved tail
+    bound is reported as the precision.  Given both, eps must lie in (0, 1)
+    and be at least the tail bound at the cutoff, so the reported precision
+    is always certified.  The upper end is clamped to 1 since densities are
+    proper.
     """
     if cutoff is None:
         if eps is None:
             raise ValueError("either eps or cutoff is required")
-        eps = Fraction(eps)
-        cutoff = choose_cutoff(params, eps)
+        cutoff = choose_cutoff(params, Fraction(eps))
+    elif cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    tail = tail_bound(params, cutoff)
+    if eps is None:
+        eps = tail
     else:
-        if cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-        if eps is None:
-            eps = tail_bound(params, cutoff)
-        else:
-            eps = Fraction(eps)
+        eps = Fraction(eps)
+        if not (0 < eps < 1 and tail <= eps):
+            raise ValueError(
+                f"eps {eps} is not certified at cutoff {cutoff}: need 0 < eps < 1 "
+                f"and eps >= tail_bound {tail}"
+            )
     dc = delta_complete(params)
     ds = delta_small(params, cutoff)
-    tail = tail_bound(params, cutoff)
     lower = dc + ds
     upper = min(lower + tail, Fraction(1))
     return DensityInterval(
@@ -176,6 +191,10 @@ def approximate_density(
         lower=lower,
         upper=upper,
     )
+
+
+class ConvergenceError(RuntimeError):
+    """The truncated decimal did not stabilise within the cutoff limit."""
 
 
 @dataclass(frozen=True)
@@ -219,4 +238,7 @@ def convergence_estimate(
                 params=params, digits=digits, cutoff=d, value=value, decimal=current
             )
         previous = current
-    raise RuntimeError("no stabilisation within the cutoff limit")
+    raise ConvergenceError(
+        f"({params.a}, {params.b}, {params.c}) at {digits} digits: "
+        f"no stabilisation within cutoff {_MAX_CONVERGENCE_CUTOFF}"
+    )

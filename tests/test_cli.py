@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import multsidon.density
 import multsidon.pair_sidon
 from multsidon.cli import main
 from multsidon.rational import format_rational, parse_rational, truncated_decimal
@@ -118,6 +119,43 @@ class TestTripleDensity:
             capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5", "--d", "8"
         )
         assert report["d"] == 8
+        assert report["eps"] == report["tail_bound"]
+
+    def test_forced_cutoff_keeps_sufficient_eps(self, capsys):
+        report = run_json(
+            capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5",
+            "--d", "10", "--eps", "1/10",
+        )
+        assert report["eps"] == "1/10"
+        assert report["tail_bound"] == "41/640"
+
+    def test_forced_cutoff_with_uncertified_eps_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5",
+            "--d", "10", "--eps", "1e-9",
+        )
+        assert code == 2
+        assert out == ""
+        assert "1/1000000000" in err and "41/640" in err
+
+    def test_forced_cutoff_with_negative_eps_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5",
+            "--d", "10", "--eps", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "-1" in err and "41/640" in err
+
+    def test_unstable_estimate_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(multsidon.density, "_MAX_CONVERGENCE_CUTOFF", 3)
+        code, out, err = run_cli(
+            capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5",
+            "--mode", "converge", "--digits", "12",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "cutoff 3" in err
 
     def test_non_coprime_exits_2(self, capsys):
         code, _, err = run_cli(

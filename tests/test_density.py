@@ -1,9 +1,13 @@
-"""Density tests: closed forms against partial series, telescoping against
-literal double sums, and tail-bound soundness."""
+"""Density tests: closed forms against partial series, the integer kernel
+against Fraction telescoping and literal double sums, and tail-bound
+soundness."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multsidon import (
     TripleParams,
@@ -14,10 +18,11 @@ from multsidon import (
     delta_complete,
     delta_small,
     exact_tail_within_simplified,
+    f_table,
     f_value,
     tail_bound,
 )
-from multsidon.components import admissible_density
+from multsidon.components import _f_arrays, admissible_density
 
 TABLE_TRIPLES = [
     (2, 3, 5), (2, 3, 7), (2, 5, 7), (2, 5, 9), (2, 7, 9),
@@ -25,6 +30,14 @@ TABLE_TRIPLES = [
 ]
 
 T235 = TripleParams(2, 3, 5)
+
+SMALL_TRIPLES = [
+    (a, b, c)
+    for a in range(2, 6)
+    for b in range(a + 1, 13)
+    for c in range(b + 1, 14)
+    if gcd(a, b) == gcd(a, c) == gcd(b, c) == 1
+]
 
 
 def complete_series_partial_sum(t: TripleParams, terms: int) -> Fraction:
@@ -39,6 +52,21 @@ def complete_series_partial_sum(t: TripleParams, terms: int) -> Fraction:
         total += Fraction(i * (i + 1) * c, c ** (2 * i)) + Fraction(
             (i + 1) ** 2, c ** (2 * i)
         )
+    return admissible_density(t) * total
+
+
+def telescoped_delta_small(t: TripleParams, cutoff: int) -> Fraction:
+    """Fraction telescoping over f_table: one add per breakpoint.
+
+    f is constant between consecutive component values v_k < v_{k+1} and
+    sum_{r=v_k}^{v_{k+1}-1} 1/(r(r+1)) = 1/v_k - 1/v_{k+1}, so the double
+    sum collapses to one term per breakpoint.
+    """
+    total = Fraction(0)
+    for p in range(cutoff + 1):
+        table = f_table(t, p)
+        for (value, plateau), (following, _) in zip(table, table[1:]):
+            total += plateau * (Fraction(1, value) - Fraction(1, following))
     return admissible_density(t) * total
 
 
@@ -94,6 +122,20 @@ class TestDeltaSmall:
     def test_non_decreasing_in_cutoff(self):
         values = [delta_small(T235, d) for d in range(12)]
         assert all(x <= y for x, y in zip(values, values[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(triple=st.sampled_from(SMALL_TRIPLES), cutoff=st.integers(0, 30))
+    def test_integer_kernel_equals_telescoping(self, triple, cutoff):
+        t = TripleParams(*triple)
+        assert delta_small(t, cutoff) == telescoped_delta_small(t, cutoff)
+
+    def test_deep_cutoff_equals_telescoping(self):
+        assert delta_small(T235, 60) == telescoped_delta_small(T235, 60)
+
+    def test_leaves_f_table_cache_empty(self):
+        _f_arrays.cache_clear()
+        approximate_density(T235, eps=Fraction(1, 10**40))
+        assert _f_arrays.cache_info().currsize == 0
 
 
 class TestTailBound:
@@ -161,6 +203,18 @@ class TestApproximateDensity:
         for narrow, wide in zip(intervals[1:], intervals):
             assert narrow.lower >= wide.lower
             assert narrow.upper <= wide.upper
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        triple=st.sampled_from(SMALL_TRIPLES),
+        cutoff=st.integers(0, 30),
+        step=st.integers(1, 10),
+    )
+    def test_intervals_nest(self, triple, cutoff, step):
+        t = TripleParams(*triple)
+        wide = approximate_density(t, cutoff=cutoff)
+        narrow = approximate_density(t, cutoff=cutoff + step)
+        assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
 
     def test_forced_cutoff_reports_achieved_width(self):
         iv = approximate_density(T235, cutoff=10)
