@@ -60,6 +60,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -364,13 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_triple_table, digits=4)
 
-    p = sub.add_parser("empirical", help="alpha(G_n)/n from the explicit graph")
+    p = sub.add_parser("empirical", help="exact alpha(G_n)/n in O(sqrt(n) log n)")
     p.add_argument("--a", type=_positive_int, required=True)
     p.add_argument("--b", type=_positive_int, required=True)
     p.add_argument("--c", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--verify-upto", type=int, default=0, dest="verify_upto",
-                   help="cross-check every component when n is at most this")
+    p.add_argument("--verify-upto", type=_nonnegative_int, default=0, dest="verify_upto",
+                   help="re-solve every component by matching, O(n), if n <= this")
     add_common(p)
     p.set_defaults(func=_cmd_empirical)
 

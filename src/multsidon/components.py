@@ -104,11 +104,7 @@ def grid_component(params: TripleParams, height: int, multiplier: int = 1) -> Gr
         raise ValueError(f"height must be >= 0, got {height}")
     if not is_admissible(params, multiplier):
         raise ValueError(f"multiplier {multiplier} is divisible by one of the bases")
-    a, b, c = params.a, params.b, params.c
-    values = {}
-    for x in range(height + 1):
-        for y in range(height + 1 - x):
-            values[(x, y)] = a ** (height - x - y) * b**x * c**y * multiplier
+    values = {(x, y): v * multiplier for v, x, y in sorted_cells(params, height)}
     return GridComponent(params=params, height=height, multiplier=multiplier, values=values)
 
 
@@ -129,7 +125,8 @@ def truncate_component(base: GridComponent, cap: int) -> TruncatedComponent:
     return TruncatedComponent(base=base, cap=cap, active=active)
 
 
-def _check_staircase(active: set[Coord]) -> None:
+def check_staircase(active: set[Coord]) -> None:
+    """Raise ValueError unless the cells are downward closed in the quarter grid."""
     for x, y in active:
         if x > 0 and (x - 1, y) not in active:
             raise ValueError(f"staircase property violated at ({x}, {y})")
@@ -145,7 +142,7 @@ def parity_alpha(truncated: TruncatedComponent) -> int:
     classes of x + y is a maximum independent set.  Raises if the region
     is not downward closed.
     """
-    _check_staircase(set(truncated.active))
+    check_staircase(set(truncated.active))
     even = sum(1 for x, y in truncated.active if (x + y) % 2 == 0)
     return max(even, len(truncated.active) - even)
 
@@ -200,6 +197,11 @@ def f_value(params: TripleParams, height: int, cap: int) -> int:
     values, plateaus = _f_arrays(params, height)
     k = bisect_right(values, cap)
     return plateaus[k - 1] if k else 0
+
+
+def cell_count(params: TripleParams, height: int, cap: int) -> int:
+    """Cells of the unit component of the given height with value <= cap."""
+    return bisect_right(_f_arrays(params, height)[0], cap)
 
 
 def q_copy_alpha(params: TripleParams, height: int, multiplier: int, n: int) -> int:

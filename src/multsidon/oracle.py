@@ -1,17 +1,20 @@
-"""Independent verification of the component computations.
+"""Independent verification of the component computations, and alpha(G_n).
 
-Everything here avoids the parity shortcut: maximum independent sets are
+The verifiers avoid the parity shortcut: maximum independent sets are
 recomputed from scratch, either by Koenig duality (|V| minus a maximum
 bipartite matching, valid because every component 2-colours by coordinate
 parity) or by branch-and-bound over vertex subsets for graphs small enough
 to enumerate.  The finite graph on [n] is rebuilt explicitly so that the
 component decomposition, the step-function lookups and the closed forms
-can all be cross-checked against each other.
+can all be cross-checked against each other.  empirical_density sums
+alpha(G_n) over floor blocks of multipliers, and walks and re-solves the
+components one by one only when n <= verify_upto.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -20,9 +23,14 @@ from .components import (
     ComponentId,
     Coord,
     TripleParams,
+    admissible_count,
+    cell_count,
+    check_staircase,
     classify_component,
+    f_table,
     is_admissible,
     q_copy_alpha,
+    sorted_cells,
 )
 
 DEFAULT_VERIFY_LIMIT = 5000
@@ -76,22 +84,14 @@ def component_ids(params: TripleParams, n: int) -> Iterator[tuple[int, int]]:
 
 def component_instance(params: TripleParams, height: int, q: int, n: int) -> ComponentInstance:
     """Materialise the cells of component (height, q) with values <= n."""
-    a, b, c = params.a, params.b, params.c
-    cap = n // q
-    cells = []
-    for x in range(height + 1):
-        for y in range(height + 1 - x):
-            v = a ** (height - x - y) * b**x * c**y
-            if v <= cap:
-                cells.append((v, (x, y)))
+    cells = [(v, x, y) for v, x, y in sorted_cells(params, height) if v * q <= n]
     if not cells:
         raise ValueError("component does not intersect [n]")
-    cells.sort()
     return ComponentInstance(
         height=height,
         multiplier=q,
-        cells=tuple(xy for _, xy in cells),
-        values=tuple(v * q for v, _ in cells),
+        cells=tuple((x, y) for _, x, y in cells),
+        values=tuple(v * q for v, _, _ in cells),
     )
 
 
@@ -203,30 +203,24 @@ def finite_graph_report(
     VerificationError on any disagreement.
     """
     summaries = []
-    total = 0
     for p, q in component_ids(params, n):
         alpha = q_copy_alpha(params, p, q, n)
-        inst = component_instance(params, p, q, n)
+        vertex_count = cell_count(params, p, n // q)
         if verify:
-            edges = grid_cell_edges(inst.cells)
-            by_matching = exact_alpha_matching(len(inst.cells), edges)
-            if by_matching != alpha:
-                raise VerificationError(
-                    f"component (p={p}, q={q}): parity alpha {alpha} "
-                    f"!= matching alpha {by_matching}"
-                )
-            if len(inst.cells) <= EXHAUSTIVE_LIMIT:
-                by_search = exact_alpha_exhaustive(len(inst.cells), edges)
-                if by_search != alpha:
+            cells = component_instance(params, p, q, n).cells
+            edges = grid_cell_edges(cells)
+            found = {"matching": exact_alpha_matching(len(cells), edges)}
+            if len(cells) <= EXHAUSTIVE_LIMIT:
+                found["exhaustive"] = exact_alpha_exhaustive(len(cells), edges)
+            for method, other in found.items():
+                if other != alpha:
                     raise VerificationError(
                         f"component (p={p}, q={q}): parity alpha {alpha} "
-                        f"!= exhaustive alpha {by_search}"
+                        f"!= {method} alpha {other}"
                     )
         ident = classify_component(params, p, q, n, cutoff)
-        summaries.append(
-            ComponentSummary(ident=ident, vertex_count=len(inst.cells), alpha=alpha)
-        )
-        total += alpha
+        summaries.append(ComponentSummary(ident=ident, vertex_count=vertex_count, alpha=alpha))
+    total = sum(s.alpha for s in summaries)
     return FiniteGraphReport(
         n=n, components=tuple(summaries), total_alpha=total, ratio=Fraction(total, n)
     )
@@ -235,24 +229,36 @@ def finite_graph_report(
 def empirical_density(
     params: TripleParams, n: int, verify_upto: int = DEFAULT_VERIFY_LIMIT
 ) -> Fraction:
-    """alpha(G_n) / n via the step-function fast path.
+    """alpha(G_n) / n by a floor-block sum, in O(sqrt(n) * log n).
 
-    When n <= verify_upto, every component is re-solved by bipartite
-    matching and any mismatch raises VerificationError.
+    Component (p, q) contributes f(p, floor(n / q)), and f(p, .) steps up by
+    one at each rising plateau, so alpha(G_n) sums, over admissible q, the
+    rising values <= floor(n / q) of all heights.  floor(n / q) takes
+    O(sqrt n) values; admissible_count counts the q of each block.
+    When n <= verify_upto, finite_graph_report sums per component instead
+    and re-solves each by matching, raising VerificationError on a mismatch.
     """
-    verify = n <= verify_upto
-    total = 0
-    for p, q in component_ids(params, n):
-        alpha = q_copy_alpha(params, p, q, n)
-        if verify:
-            inst = component_instance(params, p, q, n)
-            by_matching = exact_alpha_matching(len(inst.cells), grid_cell_edges(inst.cells))
-            if by_matching != alpha:
-                raise VerificationError(
-                    f"component (p={p}, q={q}): parity alpha {alpha} "
-                    f"!= matching alpha {by_matching}"
-                )
-        total += alpha
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if n <= verify_upto:
+        return finite_graph_report(params, n, verify=True).ratio
+    rises = []
+    p, power = 0, 1
+    while power <= n:
+        previous = 0
+        for value, plateau in f_table(params, p):
+            if plateau > previous and value <= n:
+                rises.append(value)
+            previous = plateau
+        p, power = p + 1, power * params.a
+    rises.sort()
+    total, q = 0, 1
+    while q <= n:
+        m = n // q
+        last = n // m
+        multipliers = admissible_count(params, last) - admissible_count(params, q - 1)
+        total += multipliers * bisect_right(rises, m)
+        q = last + 1
     return Fraction(total, n)
 
 
@@ -309,11 +315,7 @@ def staircase_lemma_check(cells: Sequence[Coord]) -> bool:
     cell_set = set(cells)
     if len(cell_set) > EXHAUSTIVE_LIMIT:
         raise ValueError(f"staircase check limited to {EXHAUSTIVE_LIMIT} cells")
-    for x, y in cell_set:
-        if x > 0 and (x - 1, y) not in cell_set:
-            raise ValueError("cells are not downward closed")
-        if y > 0 and (x, y - 1) not in cell_set:
-            raise ValueError("cells are not downward closed")
+    check_staircase(cell_set)
     ordered = sorted(cell_set)
     even = sum(1 for x, y in ordered if (x + y) % 2 == 0)
     best_parity = max(even, len(ordered) - even)

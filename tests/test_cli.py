@@ -209,6 +209,33 @@ class TestEmpirical:
         assert report["alpha"] == 728
         assert parse_rational(report["ratio"]) == Fraction(728, 1000)
 
+    def test_verified_and_block_sum_agree(self, capsys):
+        argv = ("empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "3000")
+        verified = run_json(capsys, *argv, "--verify-upto", "3000")
+        fast = run_json(capsys, *argv, "--verify-upto", "0")
+        assert verified["verified"] is True and fast["verified"] is False
+        del verified["verified"], fast["verified"]
+        assert verified == fast
+
+    def test_billion(self, capsys):
+        report = run_json(
+            capsys, "empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "1000000000"
+        )
+        n = 10**9
+        assert report["n"] == n
+        assert report["alpha"] == parse_rational(report["ratio"]) * n
+        assert 0 < report["alpha"] <= n
+
+    def test_negative_verify_upto_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "10",
+                  "--verify-upto", "-5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            "argument --verify-upto: must be a non-negative integer: '-5'"
+        )
+
 
 class TestCheckSet:
     def write(self, tmp_path, lines):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,9 @@ from multsidon import (
     reduce_pair,
     staircase_lemma_check,
 )
+from multsidon.components import q_copy_alpha
 from multsidon.oracle import (
+    component_ids,
     component_instance,
     general_multiplicative_witness,
     grid_cell_edges,
@@ -30,6 +33,20 @@ from multsidon.oracle import (
 )
 
 T235 = TripleParams(2, 3, 5)
+T345 = TripleParams(3, 4, 5)
+
+SMALL_TRIPLES = [
+    (a, b, c)
+    for a in range(2, 6)
+    for b in range(a + 1, 13)
+    for c in range(b + 1, 14)
+    if gcd(a, b) == gcd(a, c) == gcd(b, c) == 1
+]
+
+
+def per_component_alpha(t: TripleParams, n: int) -> int:
+    """alpha(G_n) as one step-function lookup per (height, multiplier) component."""
+    return sum(q_copy_alpha(t, p, q, n) for p, q in component_ids(t, n))
 
 
 def direct_edge_scan(t: TripleParams, n: int) -> set[frozenset[int]]:
@@ -118,6 +135,10 @@ class TestTripleOracleAgreement:
     @pytest.mark.parametrize("t", [T235, TripleParams(2, 3, 7), TripleParams(3, 4, 5)])
     def test_all_components_at_small_n(self, t):
         report = finite_graph_report(t, 800, cutoff=3, verify=True)
+        assert report == finite_graph_report(t, 800, cutoff=3)
+        assert [s.vertex_count for s in report.components] == [
+            len(inst.cells) for inst in build_gn(t, 800)
+        ]
         assert sum(s.vertex_count for s in report.components) == 800
         assert report.total_alpha == sum(s.alpha for s in report.components)
         assert report.ratio == Fraction(report.total_alpha, 800)
@@ -146,6 +167,27 @@ class TestEmpiricalDensity:
     def test_methods_agree_at_ten(self):
         report = finite_graph_report(T235, 10, cutoff=2, verify=True)
         assert report.total_alpha == 7
+
+    @pytest.mark.parametrize("t", [T235, T345])
+    @pytest.mark.parametrize("n", [1, 7, 100, 12345, 10**5])
+    def test_block_sum_equals_per_component_sum(self, t, n):
+        assert empirical_density(t, n, verify_upto=0) * n == per_component_alpha(t, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(triple=st.sampled_from(SMALL_TRIPLES), n=st.integers(1, 3000))
+    def test_block_sum_equals_per_component_sum_on_small_triples(self, triple, n):
+        t = TripleParams(*triple)
+        assert empirical_density(t, n, verify_upto=0) * n == per_component_alpha(t, n)
+
+    def test_verified_path_agrees(self):
+        for n in (1, 2, 999, 3000):
+            assert empirical_density(T345, n, verify_upto=n) == empirical_density(
+                T345, n, verify_upto=0
+            )
+
+    def test_nonpositive_n_raises(self):
+        with pytest.raises(ValueError):
+            empirical_density(T235, 0, verify_upto=-1)
 
     def test_mismatch_raises(self, monkeypatch):
         import multsidon.oracle as oracle_module
