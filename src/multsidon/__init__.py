@@ -61,16 +61,13 @@ from .pair_sidon import (
     ExtremalPairSet,
     PairParams,
     PathDecomposition,
-    SubpowerDecomposition,
     build_path_decomposition,
     cardinality_bounds,
     construct_extremal_set,
-    coprime_singleton_density,
     is_pair_multiplicative,
     pair_density,
     path_alpha,
     reduce_pair,
-    subpower_index,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

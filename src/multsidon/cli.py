@@ -1,13 +1,19 @@
 """Command-line interface.
 
 Every command prints a single deterministic report to stdout in one of
-three formats: json (one object), csv (header plus rows) or plain text.
-Rationals are serialised as exact "numerator/denominator" strings and all
-decimals are truncated, never rounded, with the digit count stated.
+three formats: json (one object, the bytes of json.dumps with indent=2 and
+sorted keys), csv (header plus rows) or plain text.  Rationals are
+serialised as exact "numerator/denominator" strings and all decimals are
+truncated, never rounded, with the digit count stated.
 
-Exit codes: 0 on success, 2 on invalid parameters or malformed input,
-3 when an internal cross-check fails (which would indicate a bug) or a
-converge-mode estimate does not stabilise within the cutoff limit.
+Work is bounded up front: --digits must lie in [0, MAX_DECIMAL_DIGITS],
+and pair-construct refuses n above MAX_PAIR_N, since it holds the whole
+set in memory.
+
+Exit codes: 0 on success, 2 on invalid parameters, malformed input or a
+refused work size, 3 when an internal cross-check fails (which would
+indicate a bug) or a converge-mode estimate does not stabilise within the
+cutoff limit.
 """
 
 from __future__ import annotations
@@ -43,6 +49,10 @@ TABLE_TRIPLES = (
 )
 
 DEFAULT_DECIMAL_DIGITS = 6
+# Below CPython's default 4300-digit limit on int-to-str conversion.
+MAX_DECIMAL_DIGITS = 4000
+# pair-construct --verify peaks near 1.1 GB of memory at n = 10**7.
+MAX_PAIR_N = 10**7
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -67,6 +77,15 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _digits(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= MAX_DECIMAL_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, {MAX_DECIMAL_DIGITS}]: {text!r}"
+        )
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -85,13 +104,34 @@ def _decimal_fields(value: Fraction, digits: int) -> dict:
     }
 
 
+def _json_text(payload: dict) -> str:
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True), faster.
+
+    That call takes the pure-Python encoder, slow on a long member list,
+    so each top-level value is rendered alone: a non-empty list of plain
+    ints (not bools) from its repr, which for such a list is JSON's compact
+    form, and any other value by the C encoder.
+    """
+    if not payload:
+        return "{}"
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, list) and set(map(type, value)) == {int}:
+            text = "[\n    " + repr(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
 def _emit(report: dict, rows: list[dict] | None, fmt: str, plain: str) -> None:
     """Write one report: a json object, csv rows, or the plain rendering."""
     if fmt == "json":
         payload = dict(report)
         if rows is not None:
             payload["rows"] = rows
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(payload) + "\n")
     elif fmt == "csv":
         out = io.StringIO()
         data = rows if rows is not None else [report]
@@ -124,6 +164,8 @@ def _cmd_pair_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_pair_construct(args: argparse.Namespace) -> int:
+    if args.n > MAX_PAIR_N:
+        raise ValueError(f"--n {args.n} exceeds the limit of {MAX_PAIR_N} for pair-construct")
     params = pair_sidon.reduce_pair(args.a, args.b)
     extremal = pair_sidon.construct_extremal_set(params, args.n)
     verified = None
@@ -146,13 +188,13 @@ def _cmd_pair_construct(args: argparse.Namespace) -> int:
     }
     if verified is not None:
         report["verified"] = verified
-    rows = [{"member": m} for m in extremal.members]
     plain = (
         f"extremal set for a={params.a}, b={params.b}, n={args.n}: "
         f"cardinality {extremal.cardinality}"
         + (" (verified)" if verified else "")
     )
-    _emit(report, rows if args.format == "csv" else None, args.format, plain)
+    rows = [{"member": m} for m in extremal.members] if args.format == "csv" else None
+    _emit(report, rows, args.format, plain)
     return 0
 
 
@@ -335,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default json)",
         )
         p.add_argument(
-            "--digits", type=int, default=DEFAULT_DECIMAL_DIGITS,
+            "--digits", type=_digits, default=DEFAULT_DECIMAL_DIGITS,
             help="fractional digits in decimal renderings",
         )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import Iterable
 
@@ -52,38 +53,6 @@ def reduce_pair(a: int, b: int) -> PairParams:
 
 
 @dataclass(frozen=True)
-class SubpowerDecomposition:
-    """x = base**index * cofactor with cofactor not divisible by base."""
-
-    base: int
-    index: int
-    cofactor: int
-
-    def __post_init__(self) -> None:
-        if self.base < 2 or self.index < 0 or self.cofactor < 1:
-            raise ValueError("invalid subpower decomposition")
-        if self.cofactor % self.base == 0:
-            raise ValueError("cofactor must not be divisible by base")
-
-    @property
-    def value(self) -> int:
-        return self.base**self.index * self.cofactor
-
-
-def subpower_index(x: int, base: int) -> SubpowerDecomposition:
-    """Split x >= 1 as base**i * y with base not dividing y."""
-    if x < 1:
-        raise ValueError(f"x must be positive, got {x}")
-    if base < 2:
-        raise ValueError(f"base must be at least 2, got {base}")
-    index = 0
-    while x % base == 0:
-        x //= base
-        index += 1
-    return SubpowerDecomposition(base=base, index=index, cofactor=x)
-
-
-@dataclass(frozen=True)
 class PathDecomposition:
     """Partition of [n] into the maximal chains x -> x*b_red/a_red."""
 
@@ -106,34 +75,37 @@ class ExtremalPairSet:
 def construct_extremal_set(params: PairParams, n: int) -> ExtremalPairSet:
     """Maximum-cardinality {a,b}-multiplicative subset of [n].
 
-    Sieves cofactors level by level: for each even i the members with
-    subpower index i are b_red**i * y for y <= n / b_red**i not divisible
-    by b_red.  Total work is O(n).
+    Marks the parity of v_b(x), b = b_red, in one byte per x <= n: the
+    multiples of b**i are overwritten with (i even) for i = 1, 2, ...,
+    one slice per power, so the last write to x is at i = v_b(x).  The
+    members are read off in ascending order.  Total work is O(n).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     b = params.b_red
-    members = []
-    power = 1  # b**i for even i
+    mask = bytearray(b"\x00" + b"\x01" * n)
+    power, even = b, 0
     while power <= n:
-        limit = n // power
-        members.extend(power * y for y in range(1, limit + 1) if y % b)
-        power *= b * b
-    members.sort()
-    return ExtremalPairSet(n=n, members=tuple(members))
+        mask[power::power] = bytes((even,)) * (n // power)
+        power *= b
+        even ^= 1
+    return ExtremalPairSet(n=n, members=tuple(compress(range(n + 1), mask)))
 
 
 def is_pair_multiplicative(members: Iterable[int], a: int, b: int) -> bool:
-    """True iff no x, y in the set satisfy a*x == b*y."""
+    """True iff no x, y in the set satisfy a*x == b*y.
+
+    With a, b reduced by their gcd, a*x == b*y holds exactly when b
+    divides x and y == x // b * a.
+    """
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
     values = set(members)
-    if any(x < 1 for x in values):
+    if values and min(values) < 1:
         raise ValueError("set members must be positive")
-    for x in values:
-        if (a * x) % b == 0 and (a * x) // b in values:
-            return False
-    return True
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    return values.isdisjoint({x // b * a for x in values if x % b == 0})
 
 
 def build_path_decomposition(params: PairParams, n: int) -> PathDecomposition:
@@ -194,22 +166,3 @@ def cardinality_bounds(params: PairParams, n: int) -> tuple[Fraction, Fraction]:
     lower = main - Fraction(k + 1, 2)
     upper = 1 + Fraction(k, 2) + main
     return lower, upper
-
-
-def coprime_singleton_density(a_set: Iterable[int], b: int) -> Fraction:
-    """Maximum density of an {A,{b}}-multiplicative set, A coprime to b.
-
-    Requires every element of A coprime to b and some element below b;
-    the witness achieving b/(b+1) is the set of even subpowers of b.
-    """
-    elements = sorted(set(a_set))
-    if not elements:
-        raise ValueError("A must be nonempty")
-    if b < 1 or any(x < 1 for x in elements):
-        raise ValueError("all inputs must be positive")
-    for x in elements:
-        if gcd(x, b) != 1:
-            raise ValueError(f"case not covered: gcd({x}, {b}) = {gcd(x, b)} != 1")
-    if not any(x < b for x in elements):
-        raise ValueError(f"case not covered: no element of A is below b={b}")
-    return Fraction(b, b + 1)

@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import multsidon.density
 import multsidon.pair_sidon
-from multsidon.cli import main
+from multsidon.cli import MAX_PAIR_N, _json_text, main
 from multsidon.rational import format_rational, parse_rational, truncated_decimal
 
 
@@ -57,6 +60,22 @@ class TestPairDensity:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("digits", ["100000000", "4001", "-1"])
+    def test_unbounded_digits_exit_2_at_once(self, capsys, digits):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["pair-density", "--a", "2", "--b", "3", "--digits", digits])
+        assert time.perf_counter() - start < 5
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(
+            f"argument --digits: must be an integer in [0, 4000]: '{digits}'"
+        )
+
+    def test_digit_bound_is_inclusive(self, capsys):
+        report = run_json(capsys, "pair-density", "--a", "2", "--b", "3", "--digits", "4000")
+        assert report["decimal"] == "0.75" + "0" * 3998
+
 
 class TestPairConstruct:
     def test_cardinality(self, capsys):
@@ -92,6 +111,38 @@ class TestPairConstruct:
         )
         assert code == 0
         assert "cardinality 8" in out
+
+    def test_plain_format_verified(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "pair-construct", "--a", "4", "--b", "6", "--n", "10",
+            "--verify", "--format", "plain",
+        )
+        assert code == 0
+        assert out == "extremal set for a=4, b=6, n=10: cardinality 8 (verified)\n"
+
+    def test_csv_format_lists_members_in_json_order(self, capsys):
+        argv = ("pair-construct", "--a", "2", "--b", "3", "--n", "10", "--verify")
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "member"
+        assert lines[1:] == [str(m) for m in run_json(capsys, *argv)["members"]]
+        assert lines[1:] == ["1", "2", "4", "5", "7", "8", "9", "10"]
+
+    def test_n_above_limit_exits_2_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("nothing may be built above the limit")
+
+        for name in ("construct_extremal_set", "build_path_decomposition"):
+            monkeypatch.setattr(multsidon.pair_sidon, name, refuse)
+        code, out, err = run_cli(
+            capsys, "pair-construct", "--a", "2", "--b", "3",
+            "--n", str(MAX_PAIR_N + 1), "--verify",
+        )
+        assert MAX_PAIR_N == 10**7
+        assert code == 2
+        assert out == ""
+        assert str(MAX_PAIR_N) in err
 
 
 class TestTripleDensity:
@@ -292,3 +343,36 @@ class TestJsonRoundTrip:
                     "lower", "upper"):
             value = parse_rational(report[key])
             assert format_rational(value) == report[key]
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.text()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """The json writer against json.dumps(payload, indent=2, sort_keys=True)."""
+
+    @given(
+        st.dictionaries(
+            st.text(),
+            json_values
+            | st.lists(st.integers())
+            | st.lists(st.integers() | st.booleans()),
+            max_size=6,
+        )
+    )
+    def test_equals_json_dumps(self, payload):
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_examples(self):
+        for payload in (
+            {},
+            {"members": [], "x": None},
+            {"members": [1, True, 2], "é": "ü", "n": [-3, 10**30]},
+            {"rows": [{"member": 1}, {"member": 2}], "members": [1, 2]},
+        ):
+            assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)

@@ -4,19 +4,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multsidon import (
     build_path_decomposition,
     cardinality_bounds,
     construct_extremal_set,
-    coprime_singleton_density,
     is_pair_multiplicative,
     pair_density,
     path_alpha,
     reduce_pair,
-    subpower_index,
 )
 from multsidon.pair_sidon import floor_log
 
@@ -31,6 +29,34 @@ def brute_force_max_pair_set(a: int, b: int, n: int) -> int:
             if is_pair_multiplicative(subset, a, b):
                 return size
     return 0
+
+
+def subpower_index(x: int, base: int) -> tuple[int, int]:
+    """Split x >= 1 as base**i * y with base not dividing y; return (i, y)."""
+    index = 0
+    while x % base == 0:
+        x //= base
+        index += 1
+    return index, x
+
+
+def level_sieve_members(b: int, n: int) -> tuple[int, ...]:
+    """Even subpowers of b in [n], sieved level by level and sorted.
+
+    For each even i the members of subpower index i are b**i * y with
+    y <= n / b**i not divisible by b.
+    """
+    members = []
+    power = 1
+    while power <= n:
+        members.extend(power * y for y in range(1, n // power + 1) if y % b)
+        power *= b * b
+    return tuple(sorted(members))
+
+
+def definition_is_pair_multiplicative(members, a: int, b: int) -> bool:
+    """The O(|S|^2) definition: no x, y in S with a*x == b*y."""
+    return all(a * x != b * y for x in members for y in members)
 
 
 def count_even_subpowers(b: int, n: int) -> int:
@@ -73,19 +99,19 @@ class TestReducePair:
 
 
 class TestSubpowerIndex:
+    """The test helper that the subpower claims below rest on."""
+
     def test_examples(self):
-        d = subpower_index(18, 3)
-        assert (d.index, d.cofactor) == (2, 2)
-        d = subpower_index(7, 3)
-        assert (d.index, d.cofactor) == (0, 7)
+        assert subpower_index(18, 3) == (2, 2)
+        assert subpower_index(7, 3) == (0, 7)
         # 9, 18, 36 share index 2 for base 3
-        assert all(subpower_index(x, 3).index == 2 for x in (9, 18, 36))
+        assert all(subpower_index(x, 3)[0] == 2 for x in (9, 18, 36))
 
     @given(st.integers(1, 10**6), st.integers(2, 9))
     def test_roundtrip(self, x, base):
-        d = subpower_index(x, base)
-        assert d.value == x
-        assert d.cofactor % base != 0
+        index, cofactor = subpower_index(x, base)
+        assert base**index * cofactor == x
+        assert cofactor % base != 0
 
 
 class TestConstructExtremalSet:
@@ -118,10 +144,19 @@ class TestConstructExtremalSet:
         p = reduce_pair(2, 3)
         s = construct_extremal_set(p, 500)
         expected = tuple(
-            x for x in range(1, 501) if subpower_index(x, 3).index % 2 == 0
+            x for x in range(1, 501) if subpower_index(x, 3)[0] % 2 == 0
         )
         assert s.members == expected
         assert s.cardinality == count_even_subpowers(3, 500)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 12), st.integers(1, 30), st.integers(1, 3000))
+    @example(4, 2, 3000)  # (4, 6): reduces to (2, 3)
+    @example(6, 9, 2999)  # (6, 15): reduces to (2, 5)
+    @example(2, 2, 1)
+    def test_equals_level_sieve(self, a, delta, n):
+        p = reduce_pair(a, a + delta)
+        assert construct_extremal_set(p, n).members == level_sieve_members(p.b_red, n)
 
 
 class TestIsPairMultiplicative:
@@ -142,6 +177,27 @@ class TestIsPairMultiplicative:
         for candidate in (set(members), set(members) | {15}, {2, 5}):
             naive = all(2 * x != 5 * y for x in candidate for y in candidate)
             assert is_pair_multiplicative(candidate, 2, 5) == naive
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.sets(st.integers(1, 80), max_size=30),
+    )
+    @example(2, 1, 2, {4, 6})  # (4, 6): 4*6 == 6*4
+    @example(2, 1, 2, {4, 9})  # (4, 6): no violation
+    @example(2, 3, 3, {10, 25})  # (6, 15): 6*25 == 15*10
+    def test_equals_definition(self, a_red, delta, g, members):
+        a, b = a_red * g, (a_red + delta) * g
+        assert is_pair_multiplicative(members, a, b) == definition_is_pair_multiplicative(
+            members, a, b
+        )
+
+    @pytest.mark.parametrize("members", [{0, 3}, {-4, 6}, [5, -1]])
+    def test_rejects_nonpositive_members(self, members):
+        with pytest.raises(ValueError):
+            is_pair_multiplicative(members, 2, 3)
 
 
 class TestPathDecomposition:
@@ -175,7 +231,7 @@ class TestPathDecomposition:
         d = build_path_decomposition(p, 2000)
         for path in d.paths:
             for distance, v in enumerate(path):
-                assert subpower_index(v, p.b_red).index == distance
+                assert subpower_index(v, p.b_red)[0] == distance
 
 
 class TestPathAlpha:
@@ -190,6 +246,12 @@ class TestPairDensity:
         assert pair_density(reduce_pair(1, 2)) == Fraction(2, 3)
         assert pair_density(reduce_pair(2, 3)) == Fraction(3, 4)
         assert pair_density(reduce_pair(2, 4)) == Fraction(2, 3)
+
+    def test_coprime_singleton_examples(self):
+        # A = {a} coprime to b with a < b: the density is b/(b+1)
+        assert pair_density(reduce_pair(2, 5)) == Fraction(5, 6)
+        assert pair_density(reduce_pair(3, 5)) == Fraction(5, 6)
+        assert pair_density(reduce_pair(1, 2)) == Fraction(2, 3)
 
     @given(st.integers(1, 300), st.integers(1, 300))
     def test_at_least_two_thirds(self, a, b):
@@ -219,20 +281,6 @@ class TestCardinalityBounds:
         p = reduce_pair(2, 3)
         lower, upper = cardinality_bounds(p, 10**6)
         assert lower <= construct_extremal_set(p, 10**6).cardinality <= upper
-
-
-class TestCoprimeSingletonDensity:
-    def test_examples(self):
-        assert coprime_singleton_density({2, 3}, 5) == Fraction(5, 6)
-        assert coprime_singleton_density({1}, 2) == Fraction(2, 3)
-
-    def test_rejects_shared_factor(self):
-        with pytest.raises(ValueError):
-            coprime_singleton_density({4}, 6)
-
-    def test_rejects_no_small_element(self):
-        with pytest.raises(ValueError):
-            coprime_singleton_density({7, 9}, 5)
 
 
 class TestFloorLog:
