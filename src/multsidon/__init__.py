@@ -15,22 +15,14 @@ independent brute-force and matching oracles live in multsidon.oracle.
 
 from .components import (
     ComponentId,
-    Decomposition,
-    GridComponent,
     TripleParams,
-    TruncatedComponent,
     admissible_count,
     admissible_density,
     alpha_complete,
     classify_component,
-    decompose,
     f_table,
     f_value,
-    grid_component,
-    parity_alpha,
     q_copy_alpha,
-    render_component,
-    truncate_component,
 )
 from .density import (
     ConvergenceEstimate,
@@ -54,7 +46,6 @@ from .oracle import (
     exact_alpha_exhaustive,
     exact_alpha_matching,
     finite_graph_report,
-    is_general_multiplicative,
     staircase_lemma_check,
 )
 from .pair_sidon import (
@@ -70,5 +61,4 @@ from .pair_sidon import (
     reduce_pair,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

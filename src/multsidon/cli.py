@@ -7,8 +7,8 @@ serialised as exact "numerator/denominator" strings and all decimals are
 truncated, never rounded, with the digit count stated.
 
 Work is bounded up front: --digits must lie in [0, MAX_DECIMAL_DIGITS],
-and pair-construct refuses n above MAX_PAIR_N, since it holds the whole
-set in memory.
+pair-construct refuses n above MAX_PAIR_N, since it holds the whole set in
+memory, and the triple commands refuse a cutoff above density.MAX_CUTOFF.
 
 Exit codes: 0 on success, 2 on invalid parameters, malformed input or a
 refused work size, 3 when an internal cross-check fails (which would
@@ -193,8 +193,11 @@ def _cmd_pair_construct(args: argparse.Namespace) -> int:
         f"cardinality {extremal.cardinality}"
         + (" (verified)" if verified else "")
     )
-    rows = [{"member": m} for m in extremal.members] if args.format == "csv" else None
-    _emit(report, rows, args.format, plain)
+    if args.format == "csv":
+        # csv.DictWriter's bytes for the one column "member", with no dict per member
+        sys.stdout.write("member\r\n" + "".join(f"{m}\r\n" for m in extremal.members))
+    else:
+        _emit(report, None, args.format, plain)
     return 0
 
 

@@ -11,8 +11,15 @@ Mapping each vertex to its exponent pair (x, y) embeds the component as a
 triangular staircase region of the grid graph, with edges exactly between
 coordinates at Manhattan distance one.  On any downward-closed region of
 the grid, one of the two chessboard colour classes (x + y even / odd) is a
-maximum independent set, which gives closed forms and fast truncated
-independence numbers f(p, r) used by the density computation.
+maximum independent set.
+
+The one materialisation of a component is sorted_cells: the cells of the
+unit component (q = 1) ordered by value.  Every truncation to values <= r
+is a prefix of that list and is downward closed, because a step back in x
+or y divides the value by b/a or c/a (check_staircase tests this).  So the
+running size of the larger parity class along the list is the truncated
+independence number f(p, r) that f_table and f_value read, and that the
+density computation sums.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 Coord = tuple[int, int]
 
@@ -48,83 +54,6 @@ def is_admissible(params: TripleParams, q: int) -> bool:
     return q >= 1 and q % params.a != 0 and q % params.b != 0 and q % params.c != 0
 
 
-class Decomposition(NamedTuple):
-    """m = a**(height - x - y) * b**x * c**y * multiplier."""
-
-    height: int
-    x: int
-    y: int
-    multiplier: int
-
-
-def decompose(params: TripleParams, m: int) -> Decomposition:
-    """Unique factorisation of m over the three bases.
-
-    Extracts the maximal powers of a, b and c (well defined because the
-    bases are pairwise coprime); the height is the total exponent and the
-    multiplier is the remaining factor, divisible by none of the bases.
-    """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    exponents = []
-    for base in (params.a, params.b, params.c):
-        e = 0
-        while m % base == 0:
-            m //= base
-            e += 1
-        exponents.append(e)
-    ea, x, y = exponents
-    return Decomposition(height=ea + x + y, x=x, y=y, multiplier=m)
-
-
-@dataclass(frozen=True, eq=False)
-class GridComponent:
-    """One component: coordinates (x, y), x + y <= height, with values."""
-
-    params: TripleParams
-    height: int
-    multiplier: int
-    values: dict[Coord, int]
-
-    @property
-    def min_value(self) -> int:
-        return self.params.a**self.height * self.multiplier
-
-    @property
-    def max_value(self) -> int:
-        return self.params.c**self.height * self.multiplier
-
-    def cells_by_value(self) -> list[tuple[int, Coord]]:
-        return sorted((v, xy) for xy, v in self.values.items())
-
-
-def grid_component(params: TripleParams, height: int, multiplier: int = 1) -> GridComponent:
-    """Materialise the component with the given height and multiplier."""
-    if height < 0:
-        raise ValueError(f"height must be >= 0, got {height}")
-    if not is_admissible(params, multiplier):
-        raise ValueError(f"multiplier {multiplier} is divisible by one of the bases")
-    values = {(x, y): v * multiplier for v, x, y in sorted_cells(params, height)}
-    return GridComponent(params=params, height=height, multiplier=multiplier, values=values)
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedComponent:
-    """A unit component restricted to values at most cap."""
-
-    base: GridComponent
-    cap: int
-    active: tuple[Coord, ...]  # sorted by value
-
-
-def truncate_component(base: GridComponent, cap: int) -> TruncatedComponent:
-    """Restrict a multiplier-1 component to its vertices <= cap."""
-    if base.multiplier != 1:
-        raise ValueError("truncations are taken on the multiplier-1 component")
-    active = tuple(xy for v, xy in base.cells_by_value() if v <= cap)
-    return TruncatedComponent(base=base, cap=cap, active=active)
-
-
 def check_staircase(active: set[Coord]) -> None:
     """Raise ValueError unless the cells are downward closed in the quarter grid."""
     for x, y in active:
@@ -132,19 +61,6 @@ def check_staircase(active: set[Coord]) -> None:
             raise ValueError(f"staircase property violated at ({x}, {y})")
         if y > 0 and (x, y - 1) not in active:
             raise ValueError(f"staircase property violated at ({x}, {y})")
-
-
-def parity_alpha(truncated: TruncatedComponent) -> int:
-    """Independence number of a truncated component via colour classes.
-
-    Valid because the active region is downward closed (dividing a vertex
-    by b/a or c/a gives a smaller vertex), so the larger of the two parity
-    classes of x + y is a maximum independent set.  Raises if the region
-    is not downward closed.
-    """
-    check_staircase(set(truncated.active))
-    even = sum(1 for x, y in truncated.active if (x + y) % 2 == 0)
-    return max(even, len(truncated.active) - even)
 
 
 def alpha_complete(height: int) -> int:
@@ -262,16 +178,3 @@ def classify_component(
     else:
         kind = "large"
     return ComponentId(height=height, multiplier=multiplier, kind=kind)
-
-
-def render_component(component: GridComponent) -> str:
-    """Plain-text dump of a component as rows of constant x + y."""
-    lines = []
-    for row in range(component.height + 1):
-        entries = [
-            str(component.values[(x, row - x)])
-            for x in range(row, -1, -1)
-            if (x, row - x) in component.values
-        ]
-        lines.append(f"row {row}: " + " ".join(entries))
-    return "\n".join(lines)

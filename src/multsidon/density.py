@@ -33,7 +33,9 @@ from .components import TripleParams, admissible_density, sorted_cells
 from .rational import truncated_decimal
 
 MAX_CONVERGENCE_DIGITS = 12
-_MAX_CONVERGENCE_CUTOFF = 400
+# Enumerating every height up to the cutoff takes O(cutoff**3) cell work:
+# about 10.8M cells at 400.
+MAX_CUTOFF = 400
 
 
 def beta(params: TripleParams) -> Fraction:
@@ -104,29 +106,23 @@ def exact_tail_within_simplified(params: TripleParams, cutoff: int) -> bool:
 def choose_cutoff(params: TripleParams, eps: Fraction) -> int:
     """Smallest cutoff whose tail bound is at most eps.
 
-    Seeded at max(ceil(2 log_a(beta/eps)), 22), then refined in both
-    directions against the exact tail bound, which is cheaper to satisfy
-    than the simplified bound behind the seed formula.
+    The tail bound is non-increasing in the cutoff (tail(0) == tail(1),
+    since the height-0 term is zero), so the cutoff is found exactly by
+    doubling until the bound suffices and then bisecting.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie strictly between 0 and 1, got {eps}")
-    ratio = beta(params) / eps
-    seed = 22
-    if ratio > 1:
-        # ceil(2 log_a r) = smallest s with a**s >= r**2, found exactly
-        target = ratio * ratio
-        s, power = 0, Fraction(1)
-        while power < target:
-            power *= params.a
-            s += 1
-        seed = max(s, 22)
-    d = seed
-    while tail_bound(params, d) > eps:
-        d += 1
-    while d > 0 and tail_bound(params, d - 1) <= eps:
-        d -= 1
-    return d
+    low, high = -1, 0  # tail(low) > eps >= tail(high) on exit; -1 means none tried
+    while tail_bound(params, high) > eps:
+        low, high = high, 2 * high + 1
+    while high - low > 1:
+        middle = (low + high) // 2
+        if tail_bound(params, middle) > eps:
+            low = middle
+        else:
+            high = middle
+    return high
 
 
 @dataclass(frozen=True)
@@ -158,15 +154,16 @@ def approximate_density(
     interval width is at most eps; given only a cutoff, the achieved tail
     bound is reported as the precision.  Given both, eps must lie in (0, 1)
     and be at least the tail bound at the cutoff, so the reported precision
-    is always certified.  The upper end is clamped to 1 since densities are
-    proper.
+    is always certified.  A cutoff, chosen or forced, above MAX_CUTOFF is
+    refused before any enumeration.  The upper end is clamped to 1 since
+    densities are proper.
     """
     if cutoff is None:
         if eps is None:
             raise ValueError("either eps or cutoff is required")
         cutoff = choose_cutoff(params, Fraction(eps))
-    elif cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    if not 0 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} is outside [0, {MAX_CUTOFF}], the limit on its work")
     tail = tail_bound(params, cutoff)
     if eps is None:
         eps = tail
@@ -229,7 +226,7 @@ def convergence_estimate(
     previous = truncated_decimal(dc, digits)
     value = dc
     streak = 0
-    for d in range(1, _MAX_CONVERGENCE_CUTOFF + 1):
+    for d in range(1, MAX_CUTOFF + 1):
         value = dc + delta_small(params, d)
         current = truncated_decimal(value, digits)
         streak = streak + 1 if current == previous else 0
@@ -240,5 +237,5 @@ def convergence_estimate(
         previous = current
     raise ConvergenceError(
         f"({params.a}, {params.b}, {params.c}) at {digits} digits: "
-        f"no stabilisation within cutoff {_MAX_CONVERGENCE_CUTOFF}"
+        f"no stabilisation within cutoff {MAX_CUTOFF}"
     )

@@ -299,13 +299,6 @@ def general_multiplicative_witness(
     return None
 
 
-def is_general_multiplicative(
-    members: Iterable[int], left: Iterable[int], right: Iterable[int]
-) -> bool:
-    """True iff a*x = b*y (a in A, b in B, x, y in S) forces a = b, x = y."""
-    return general_multiplicative_witness(members, left, right) is None
-
-
 def staircase_lemma_check(cells: Sequence[Coord]) -> bool:
     """Does the best parity class match the exhaustive optimum on a staircase?
 

@@ -46,9 +46,7 @@ def reduce_pair(a: int, b: int) -> PairParams:
     """Validate 1 <= a < b and divide out the gcd."""
     if not isinstance(a, int) or not isinstance(b, int):
         raise TypeError("a and b must be integers")
-    if not 1 <= a < b:
-        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    g = gcd(a, b)
+    g = gcd(a, b) or 1  # gcd(0, 0) == 0; PairParams rejects that pair
     return PairParams(a=a, b=b, g=g, a_red=a // g, b_red=b // g)
 
 

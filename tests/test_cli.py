@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, exact serialisation, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multsidon.density
@@ -126,8 +127,14 @@ class TestPairConstruct:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "member"
-        assert lines[1:] == [str(m) for m in run_json(capsys, *argv)["members"]]
+        members = run_json(capsys, *argv)["members"]
+        assert lines[1:] == [str(m) for m in members]
         assert lines[1:] == ["1", "2", "4", "5", "7", "8", "9", "10"]
+        reference = io.StringIO()
+        writer = csv.DictWriter(reference, fieldnames=["member"])
+        writer.writeheader()
+        writer.writerows({"member": m} for m in members)
+        assert out == reference.getvalue()
 
     def test_n_above_limit_exits_2_before_any_work(self, capsys, monkeypatch):
         def refuse(*args):
@@ -199,7 +206,7 @@ class TestTripleDensity:
         assert "-1" in err and "41/640" in err
 
     def test_unstable_estimate_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(multsidon.density, "_MAX_CONVERGENCE_CUTOFF", 3)
+        monkeypatch.setattr(multsidon.density, "MAX_CUTOFF", 3)
         code, out, err = run_cli(
             capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5",
             "--mode", "converge", "--digits", "12",
@@ -207,6 +214,33 @@ class TestTripleDensity:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "cutoff 3" in err
+
+    @pytest.mark.parametrize(
+        "argv, cutoff",
+        [
+            (("triple-density", "--a", "2", "--b", "3", "--c", "5", "--eps", "1e-100000"),
+             332229),
+            (("triple-density", "--a", "2", "--b", "3", "--c", "5", "--d", "100000"), 100000),
+            (("triple-table", "--eps", "1e-1000"), 3345),
+        ],
+    )
+    def test_cutoff_above_limit_exits_2_at_once(self, capsys, argv, cutoff):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert f"cutoff {cutoff} " in err and "[0, 400]" in err
+
+    def test_cutoff_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(multsidon.density, "MAX_CUTOFF", 10)
+        base = ("triple-density", "--a", "2", "--b", "3", "--c", "5")
+        # tail_bound is 41/640 at d = 10 and 73/1920 at d = 11
+        assert run_json(capsys, *base, "--d", "10")["d"] == 10
+        assert run_json(capsys, *base, "--eps", "41/640")["d"] == 10
+        for option, value in (("--d", "11"), ("--eps", "73/1920")):
+            code, out, err = run_cli(capsys, *base, option, value)
+            assert (code, out) == (2, "")
+            assert "cutoff 11 " in err and "[0, 10]" in err
 
     def test_non_coprime_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -376,3 +410,51 @@ class TestJsonText:
             {"rows": [{"member": 1}, {"member": 2}], "members": [1, 2]},
         ):
             assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@st.composite
+def cli_inputs(draw):
+    """Bounded bad and edge inputs for every computing command.
+
+    Small primes, sorted bases and small digit counts are drawn more often,
+    so that valid pairs and triples reach the computations, not only the
+    parser.
+    """
+    base = (st.sampled_from([2, 3, 5, 7]) | st.integers(-3, 30)).map(str)
+    digits = st.integers(-1, 13) | st.integers(-1, 4001)
+    eps = st.sampled_from(["0", "1", "-1", "1/0", "abc", "1e-100000", "1/2", "1/1000", "5e-5"])
+    n = st.integers(-1, 10**4).map(str)
+    command = draw(st.sampled_from(
+        ["pair-density", "pair-construct", "triple-density", "triple-table", "empirical"]
+    ))
+    argv = [command, "--digits", str(draw(digits))]
+    names = {"pair-density": "ab", "pair-construct": "ab", "triple-table": ""}.get(command, "abc")
+    values = [draw(base) for _ in names]
+    if draw(st.booleans()):
+        values.sort(key=int)
+    for name, value in zip(names, values):
+        argv += [f"--{name}", value]
+    if command in ("pair-construct", "empirical"):
+        argv += ["--n", draw(n)]
+    if command == "pair-construct" and draw(st.booleans()):
+        argv.append("--verify")
+    if command == "triple-density" and draw(st.booleans()):
+        argv += ["--mode", "converge"]
+    if command in ("triple-density", "triple-table") and draw(st.booleans()):
+        argv += ["--eps", draw(eps)]
+    if command == "triple-density" and draw(st.booleans()):
+        argv += ["--d", draw(base)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_inputs())
+def test_error_paths_exit_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,7 @@
 """Component-structure tests, cross-checked by union-find and exhaustive MIS."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -12,19 +13,54 @@ from multsidon import (
     admissible_density,
     alpha_complete,
     classify_component,
-    decompose,
     exact_alpha_exhaustive,
     f_table,
     f_value,
-    grid_component,
-    parity_alpha,
     q_copy_alpha,
-    render_component,
-    truncate_component,
 )
-from multsidon.oracle import grid_cell_edges
+from multsidon.components import check_staircase, sorted_cells
+from multsidon.oracle import component_instance, grid_cell_edges
 
 T235 = TripleParams(2, 3, 5)
+
+
+class Decomposition(NamedTuple):
+    """m = a**(height - x - y) * b**x * c**y * multiplier."""
+
+    height: int
+    x: int
+    y: int
+    multiplier: int
+
+
+def decompose(params: TripleParams, m: int) -> Decomposition:
+    """Unique factorisation of m over the three bases.
+
+    Extracts the maximal powers of a, b and c (well defined because the
+    bases are pairwise coprime); the height is the total exponent and the
+    multiplier is the remaining factor, divisible by none of the bases.
+    """
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    exponents = []
+    for base in (params.a, params.b, params.c):
+        e = 0
+        while m % base == 0:
+            m //= base
+            e += 1
+        exponents.append(e)
+    ea, x, y = exponents
+    return Decomposition(height=ea + x + y, x=x, y=y, multiplier=m)
+
+
+def truncation(params: TripleParams, height: int, cap: int) -> list[tuple[int, int]]:
+    """Cells (x, y) of the unit component of the given height with value <= cap."""
+    return [(x, y) for v, x, y in sorted_cells(params, height) if v <= cap]
+
+
+def exhaustive_alpha(cells: list[tuple[int, int]]) -> int:
+    """Independence number of the grid graph on the cells, by subset search."""
+    return exact_alpha_exhaustive(len(cells), grid_cell_edges(cells)) if cells else 0
 
 
 class UnionFind:
@@ -102,60 +138,47 @@ class TestDecompose:
 
 class TestGridComponent:
     def test_extreme_values(self):
-        comp = grid_component(T235, 3, 7)
-        assert comp.min_value == 2**3 * 7
-        assert comp.max_value == 5**3 * 7
-        assert min(comp.values.values()) == comp.min_value
-        assert max(comp.values.values()) == comp.max_value
+        cells = sorted_cells(T235, 3)
+        assert cells[0] == (2**3, 0, 0)
+        assert cells[-1] == (5**3, 0, 3)
+        values = component_instance(T235, 3, 7, 5**3 * 7).values
+        assert (min(values), max(values)) == (2**3 * 7, 5**3 * 7)
 
     @pytest.mark.parametrize("t", [T235, TripleParams(3, 4, 5), TripleParams(2, 7, 9)])
     def test_value_map_injective_up_to_height_50(self, t):
-        comp = grid_component(t, 50)
-        assert len(set(comp.values.values())) == len(comp.values) == 51 * 52 // 2
-
-    def test_rejects_bad_multiplier(self):
-        with pytest.raises(ValueError):
-            grid_component(T235, 2, 6)
-
-    def test_render_rows(self):
-        text = render_component(grid_component(T235, 1))
-        assert text.splitlines() == ["row 0: 2", "row 1: 3 5"]
+        cells = sorted_cells(t, 50)
+        assert len({v for v, _, _ in cells}) == len(cells) == 51 * 52 // 2
+        assert {(x, y) for _, x, y in cells} == {
+            (x, y) for x in range(51) for y in range(51 - x)
+        }
 
 
 class TestParityAlpha:
     def test_truncated_at_ten(self):
-        tc = truncate_component(grid_component(T235, 2), 10)
-        active_values = sorted(grid_component(T235, 2).values[xy] for xy in tc.active)
-        assert active_values == [4, 6, 9, 10]
-        assert parity_alpha(tc) == 2
-        # brute force over the 4 active cells
-        edges = grid_cell_edges(tc.active)
-        assert exact_alpha_exhaustive(len(tc.active), edges) == 2
+        assert [v for v, _, _ in sorted_cells(T235, 2) if v <= 10] == [4, 6, 9, 10]
+        assert f_value(T235, 2, 10) == 2
+        assert exhaustive_alpha(truncation(T235, 2, 10)) == 2
 
     def test_height_one_complete(self):
-        tc = truncate_component(grid_component(T235, 1), 5)
-        assert parity_alpha(tc) == 2
+        assert f_value(T235, 1, 5) == 2
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 5])
     def test_single_vertex_truncation(self, p):
-        tc = truncate_component(grid_component(T235, p), 2**p)
-        assert parity_alpha(tc) == 1
+        assert truncation(T235, p, 2**p) == [(0, 0)]
+        assert f_value(T235, p, 2**p) == 1
 
     def test_staircase_violation_raises(self):
-        from multsidon.components import TruncatedComponent
-
-        bad = TruncatedComponent(base=grid_component(T235, 2), cap=99, active=((1, 0),))
-        with pytest.raises(ValueError):
-            parity_alpha(bad)
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            check_staircase({(1, 0)})
+        check_staircase({(0, 0), (1, 0)})
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_every_truncation_is_downward_closed_and_optimal(self, p):
-        comp = grid_component(T235, p)
-        for cap, _ in f_table(T235, p):
-            tc = truncate_component(comp, cap)
-            alpha = parity_alpha(tc)  # raises if not downward closed
-            edges = grid_cell_edges(tc.active)
-            assert alpha == exact_alpha_exhaustive(len(tc.active), edges)
+        for cap, alpha in f_table(T235, p):
+            cells = truncation(T235, p, cap)
+            check_staircase(set(cells))
+            even = sum(1 for x, y in cells if (x + y) % 2 == 0)
+            assert alpha == max(even, len(cells) - even) == exhaustive_alpha(cells)
 
 
 class TestAlphaComplete:
@@ -202,25 +225,13 @@ class TestFTable:
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_f_value_against_exhaustive(self, p):
-        comp = grid_component(T235, p)
         for cap in range(1, 5**p + 2):
-            cells = sorted(
-                (v, xy) for xy, v in comp.values.items() if v <= cap
-            )
-            coords = [xy for _, xy in cells]
-            expected = (
-                exact_alpha_exhaustive(len(coords), grid_cell_edges(coords))
-                if coords
-                else 0
-            )
-            assert f_value(T235, p, cap) == expected
+            assert f_value(T235, p, cap) == exhaustive_alpha(truncation(T235, p, cap))
 
 
 class TestQCopyAlpha:
     def test_seven_copy(self):
         # the 7-copy of height 1 inside [25] is {14, 21} with an edge
-        from multsidon.oracle import component_instance
-
         inst = component_instance(T235, 1, 7, 25)
         assert inst.values == (14, 21)
         assert q_copy_alpha(T235, 1, 7, 25) == 1

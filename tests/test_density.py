@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multsidon import (
@@ -174,14 +174,33 @@ class TestChooseCutoff:
         assert choose_cutoff(T235, Fraction(1, 10000)) == 22
         assert choose_cutoff(T235, Fraction(1, 2)) == 6
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
     @pytest.mark.parametrize("eps", ["1/1000", "1/100000", "3/7", "1/2"])
     @pytest.mark.parametrize("triple", [(2, 3, 5), (3, 7, 8)])
-    def test_minimality(self, triple, eps):
-        t = TripleParams(*triple)
-        eps = Fraction(eps)
-        d = choose_cutoff(t, eps)
-        assert tail_bound(t, d) <= eps
-        assert d == 0 or tail_bound(t, d - 1) > eps
+    def test_minimality(self, triple, eps, data):
+        """choose_cutoff against a linear scan of the exact tail.
+
+        Besides its fixed (triple, eps), each case draws a triple and an eps
+        of one of three kinds: an exact tail value, so that eps sits on a
+        boundary; a value in [tail(0), 1), where the answer is 0 although
+        tail(0) == tail(1); and 10**-k.
+        """
+        drawn = TripleParams(*data.draw(st.sampled_from(SMALL_TRIPLES)))
+        kind = data.draw(st.sampled_from(["boundary", "flat", "power"]))
+        if kind == "boundary":
+            drawn_eps = tail_bound(drawn, data.draw(st.integers(0, 150)))
+        elif kind == "flat":
+            top = tail_bound(drawn, 0)
+            drawn_eps = top + (1 - top) * Fraction(data.draw(st.integers(0, 999)), 1000)
+        else:
+            drawn_eps = Fraction(1, 10 ** data.draw(st.integers(1, 150)))
+        assume(drawn_eps < 1)
+        for t, e in ((TripleParams(*triple), Fraction(eps)), (drawn, drawn_eps)):
+            least = 0
+            while tail_bound(t, least) > e:
+                least += 1
+            assert choose_cutoff(t, e) == least
 
     @pytest.mark.parametrize("eps", [0, 1, Fraction(3, 2), Fraction(-1, 5)])
     def test_rejects_out_of_range(self, eps):

@@ -17,7 +17,6 @@ from multsidon import (
     exact_alpha_exhaustive,
     exact_alpha_matching,
     finite_graph_report,
-    is_general_multiplicative,
     path_alpha,
     reduce_pair,
     staircase_lemma_check,
@@ -209,20 +208,19 @@ class TestEmpiricalDensity:
 
 class TestGeneralMultiplicative:
     def test_singleton(self):
-        assert is_general_multiplicative({1}, {2}, {3, 5})
+        assert general_multiplicative_witness({1}, {2}, {3, 5}) is None
 
     def test_violation_with_witness(self):
         witness = general_multiplicative_witness({3, 2}, {2}, {3, 5})
         assert witness == (2, 3, 3, 2)
-        assert not is_general_multiplicative({3, 2}, {2}, {3, 5})
 
     def test_parity_set_is_multiplicative(self):
         chosen = parity_independent_set(T235, 100)
-        assert is_general_multiplicative(chosen, {2}, {3, 5})
+        assert general_multiplicative_witness(chosen, {2}, {3, 5}) is None
         assert len(chosen) == int(empirical_density(T235, 100) * 100)
 
     def test_equal_elements_never_violate(self):
-        assert is_general_multiplicative({2, 3, 4}, {3}, {3})
+        assert general_multiplicative_witness({2, 3, 4}, {3}, {3}) is None
 
     def test_rejects_empty_family(self):
         with pytest.raises(ValueError):
