@@ -8,7 +8,9 @@ truncated, never rounded, with the digit count stated.
 
 Work is bounded up front: --digits must lie in [0, MAX_DECIMAL_DIGITS],
 pair-construct refuses n above MAX_PAIR_N, since it holds the whole set in
-memory, and the triple commands refuse a cutoff above density.MAX_CUTOFF.
+memory, the triple commands refuse a cutoff above density.MAX_CUTOFF, and
+empirical refuses n above MAX_EMPIRICAL_N, or above MAX_VERIFIED_N when
+n <= --verify-upto asks for the O(n) cross-check.
 
 Exit codes: 0 on success, 2 on invalid parameters, malformed input or a
 refused work size, 3 when an internal cross-check fails (which would
@@ -53,6 +55,10 @@ DEFAULT_DECIMAL_DIGITS = 6
 MAX_DECIMAL_DIGITS = 4000
 # pair-construct --verify peaks near 1.1 GB of memory at n = 10**7.
 MAX_PAIR_N = 10**7
+# empirical's floor-block sum is O(sqrt(n) log n): about 3.4 s at n = 10**12.
+MAX_EMPIRICAL_N = 10**12
+# Re-solving every component by matching is O(n): about 1.8 s at n = 10**5.
+MAX_VERIFIED_N = 10**5
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -295,6 +301,13 @@ def _cmd_triple_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_empirical(args: argparse.Namespace) -> int:
+    if args.n > MAX_EMPIRICAL_N:
+        raise ValueError(f"--n {args.n} exceeds the limit of {MAX_EMPIRICAL_N} for empirical")
+    if args.verify_upto >= args.n > MAX_VERIFIED_N:
+        raise ValueError(
+            f"--n {args.n} exceeds the limit of {MAX_VERIFIED_N} for a verified run "
+            f"(n <= --verify-upto {args.verify_upto})"
+        )
     params = TripleParams(args.a, args.b, args.c)
     ratio = empirical_density(params, args.n, verify_upto=args.verify_upto)
     alpha = ratio.numerator * args.n // ratio.denominator

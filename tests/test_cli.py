@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import multsidon.density
 import multsidon.pair_sidon
-from multsidon.cli import MAX_PAIR_N, _json_text, main
+import multsidon.cli
+from multsidon.cli import MAX_EMPIRICAL_N, MAX_PAIR_N, MAX_VERIFIED_N, _json_text, main
 from multsidon.rational import format_rational, parse_rational, truncated_decimal
 
 
@@ -310,6 +311,44 @@ class TestEmpirical:
         assert report["n"] == n
         assert report["alpha"] == parse_rational(report["ratio"]) * n
         assert 0 < report["alpha"] <= n
+
+    @pytest.mark.parametrize(
+        "n, verify_upto, limit",
+        [
+            (10**16, 0, MAX_EMPIRICAL_N),
+            (MAX_EMPIRICAL_N + 1, 0, MAX_EMPIRICAL_N),
+            (MAX_VERIFIED_N + 1, MAX_VERIFIED_N + 1, MAX_VERIFIED_N),
+            (10**9, 10**12, MAX_VERIFIED_N),
+        ],
+    )
+    def test_n_above_limit_exits_2_before_any_work(self, capsys, monkeypatch, n, verify_upto,
+                                                     limit):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may be computed above the limit")
+
+        monkeypatch.setattr(multsidon.cli, "empirical_density", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "empirical", "--a", "2", "--b", "3", "--c", "5",
+            "--n", str(n), "--verify-upto", str(verify_upto),
+        )
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert f"--n {n} " in err and str(limit) in err
+        assert (MAX_EMPIRICAL_N, MAX_VERIFIED_N) == (10**12, 10**5)
+
+    def test_limits_are_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(multsidon.cli, "MAX_EMPIRICAL_N", 1000)
+        monkeypatch.setattr(multsidon.cli, "MAX_VERIFIED_N", 100)
+        base = ("empirical", "--a", "2", "--b", "3", "--c", "5")
+        assert run_json(capsys, *base, "--n", "1000")["verified"] is False
+        assert run_json(capsys, *base, "--n", "100", "--verify-upto", "100")["verified"] is True
+        # above the verify limit, a run is accepted as long as it is not verified
+        assert run_json(capsys, *base, "--n", "101", "--verify-upto", "100")["verified"] is False
+        for n, verify_upto, limit in (("1001", "0", "1000"), ("101", "101", "100")):
+            code, out, err = run_cli(capsys, *base, "--n", n, "--verify-upto", verify_upto)
+            assert (code, out) == (2, "")
+            assert f"--n {n} " in err and f"limit of {limit} " in err
 
     def test_negative_verify_upto_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,7 @@ from multsidon import (
     f_value,
     q_copy_alpha,
 )
-from multsidon.components import check_staircase, sorted_cells
+from multsidon.components import _cell_order, check_staircase, sorted_cells
 from multsidon.oracle import component_instance, grid_cell_edges
 
 T235 = TripleParams(2, 3, 5)
@@ -51,6 +51,15 @@ def decompose(params: TripleParams, m: int) -> Decomposition:
         exponents.append(e)
     ea, x, y = exponents
     return Decomposition(height=ea + x + y, x=x, y=y, multiplier=m)
+
+
+def plain_sorted_cells(params: TripleParams, height: int) -> list[tuple[int, int, int]]:
+    """Cells (value, x, y) of the whole triangle of the given height, sorted."""
+    pa, pb, pc = ([base**i for i in range(height + 1)] for base in (params.a, params.b, params.c))
+    return sorted(
+        (pa[height - x - y] * pb[x] * pc[y], x, y)
+        for x in range(height + 1) for y in range(height + 1 - x)
+    )
 
 
 def truncation(params: TripleParams, height: int, cap: int) -> list[tuple[int, int]]:
@@ -151,6 +160,28 @@ class TestGridComponent:
         assert {(x, y) for _, x, y in cells} == {
             (x, y) for x in range(51) for y in range(51 - x)
         }
+
+
+class TestSortedCells:
+    TRIPLES = [(2, 3, 5), (3, 4, 5), (2, 7, 9), (3, 7, 8), (4, 9, 25), (5, 6, 7)]
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_rising_heights_equal_plain_sort(self, triple):
+        t = TripleParams(*triple)
+        _cell_order.cache_clear()
+        for height in range(51):
+            assert sorted_cells(t, height) == plain_sorted_cells(t, height), height
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_high_height_first_equals_plain_sort(self, triple):
+        t = TripleParams(*triple)
+        _cell_order.cache_clear()
+        assert sorted_cells(t, 50) == plain_sorted_cells(t, 50)
+        for height in range(50, -1, -3):
+            assert sorted_cells(t, height) == plain_sorted_cells(t, height), height
+
+    def test_negative_height_is_empty(self):
+        assert sorted_cells(T235, -1) == []
 
 
 class TestParityAlpha:

@@ -1,6 +1,6 @@
 """Density tests: closed forms against partial series, the integer kernel
-against Fraction telescoping and literal double sums, and tail-bound
-soundness."""
+against a sort-and-divide numerator, Fraction telescoping and literal double
+sums, and tail-bound soundness."""
 
 from fractions import Fraction
 from math import gcd
@@ -22,6 +22,7 @@ from multsidon import (
     f_value,
     tail_bound,
 )
+from multsidon import components, density
 from multsidon.components import _f_arrays, admissible_density
 
 TABLE_TRIPLES = [
@@ -68,6 +69,45 @@ def telescoped_delta_small(t: TripleParams, cutoff: int) -> Fraction:
         for (value, plateau), (following, _) in zip(table, table[1:]):
             total += plateau * (Fraction(1, value) - Fraction(1, following))
     return admissible_density(t) * total
+
+
+def sorted_cells_numerator(t: TripleParams, height: int) -> int:
+    """N_p by sorting the cells of the height and dividing per rising plateau.
+
+    (abc)^p / v for each value v that raises the larger parity class, less
+    the last plateau times (abc)^p / c^p.
+    """
+    pa, pb, pc = ([base**i for i in range(height + 1)] for base in (t.a, t.b, t.c))
+    cells = sorted(
+        (pa[height - x - y] * pb[x] * pc[y], x, y)
+        for x in range(height + 1) for y in range(height + 1 - x)
+    )
+    top = (t.a * t.b * t.c) ** height
+    counts = [0, 0]
+    best = total = 0
+    for value, x, y in cells:
+        parity = (x + y) % 2
+        counts[parity] += 1
+        if counts[parity] > best:
+            best += 1
+            total += top // value
+    return total - best * (t.a * t.b) ** height
+
+
+def sorted_cells_delta_small(t: TripleParams, cutoff: int) -> Fraction:
+    """delta_small from the sort-and-divide numerators, by Horner's rule."""
+    abc = t.a * t.b * t.c
+    total = 0
+    for p in range(cutoff + 1):
+        total = total * abc + sorted_cells_numerator(t, p)
+    return admissible_density(t) * Fraction(total, abc**cutoff)
+
+
+def clear_caches() -> None:
+    """Forget every cached height, numerator and cell order."""
+    density._height_numerator.cache_clear()
+    components._cell_order.cache_clear()
+    _f_arrays.cache_clear()
 
 
 def naive_delta_small(t: TripleParams, cutoff: int) -> Fraction:
@@ -131,6 +171,30 @@ class TestDeltaSmall:
 
     def test_deep_cutoff_equals_telescoping(self):
         assert delta_small(T235, 60) == telescoped_delta_small(T235, 60)
+
+    @settings(max_examples=60, deadline=None)
+    @given(triple=st.sampled_from(SMALL_TRIPLES), cutoff=st.integers(0, 40))
+    def test_equals_sorted_cells_numerator(self, triple, cutoff):
+        t = TripleParams(*triple)
+        assert delta_small(t, cutoff) == sorted_cells_delta_small(t, cutoff)
+
+    def test_deep_cutoff_equals_sorted_cells_numerator(self):
+        assert delta_small(T235, 147) == sorted_cells_delta_small(T235, 147)
+
+    @pytest.mark.parametrize("triple", [(2, 3, 5), (3, 7, 8)])
+    @pytest.mark.parametrize("request_order", ["rising", "falling", "deep first"])
+    def test_independent_of_request_order(self, triple, request_order):
+        t = TripleParams(*triple)
+        cutoffs = [0, 1, 2, 3, 7, 16, 25]
+        cold = {}
+        for d in cutoffs:
+            clear_caches()
+            cold[d] = delta_small(t, d)
+        clear_caches()
+        if request_order == "deep first":
+            f_table(t, 40)  # extends the shared order far above every cutoff
+        for d in sorted(cutoffs, reverse=request_order == "falling"):
+            assert delta_small(t, d) == cold[d], d
 
     def test_leaves_f_table_cache_empty(self):
         _f_arrays.cache_clear()
