@@ -23,10 +23,11 @@ numerator N_p, and delta_S(d) = K * sum_p N_p (abc)^(d-p) / (abc)^d is
 accumulated by Horner's rule into a single Fraction.
 
 N_p needs no sort and no division.  All heights share one cell order
-(components.cell_order), so height p walks it, keeping the cells with
-x + y <= p, and finds the rising plateaus by a sign walk on the small int
-#even - #odd.  Each term is a product from the order's power tables.  N_p
-is cached per height, so a larger cutoff computes only its new heights.
+(components.cell_order), so height p walks it up to its largest cell
+(0, p), keeping the cells with x + y <= p, and finds the rising plateaus
+by a sign walk on the small int #even - #odd.  Each term is a product
+from the order's power tables.  N_p is cached per height, so a larger
+cutoff computes only its new heights.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .components import TripleParams, admissible_density, alpha_complete, cell_order
 from .rational import truncated_decimal
@@ -60,9 +62,10 @@ def delta_complete(params: TripleParams) -> Fraction:
 def _height_numerator(params: TripleParams, height: int) -> int:
     """N_p: (abc)^p / v per rising plateau, less f_last * (abc)^p / c^p.
 
-    Walks the shared cell order, skipping cells above the height.  diff is
-    #even - #odd so far, and a cell raises the plateau max(#even, #odd)
-    exactly when it moves diff away from 0.  A rising cell adds
+    Walks the shared cell order up to (0, p), the largest cell of height p
+    (value c^p), skipping cells above the height.  diff is #even - #odd so
+    far, and a cell raises the plateau max(#even, #odd) exactly when it
+    moves diff away from 0.  A rising cell adds
     (abc)^p / v = (a^x b^(p-x)) * (a^y c^(p-y)); the second factor is
     summed per x and multiplied by the first once.  f_last is
     alpha_complete(p).
@@ -72,7 +75,10 @@ def _height_numerator(params: TripleParams, height: int) -> int:
     row = [pa[y] * pc[height - y] for y in range(height + 1)]
     by_x = [0] * (height + 1)
     diff = 0
-    for x, y in order.cells:
+    cells = order.cells
+    if order.height > height:  # no cell of this height lies past (0, height)
+        cells = islice(cells, cells.index((0, height)) + 1)
+    for x, y in cells:
         s = x + y
         if s > height:
             continue

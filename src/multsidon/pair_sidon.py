@@ -12,10 +12,18 @@ the product is an integer at most n.  Every vertex has in- and out-degree at
 most one, so [n] splits into disjoint directed paths, and a maximum
 independent set takes the vertices at even distance from each path source.
 Those vertices are exactly the even subpowers of b/g.
+
+construct_extremal_set sieves the set in one byte per x <= n, and
+is_pair_multiplicative checks the condition on a byte mask of the set.
+build_path_decomposition materialises the paths themselves: it is the
+independent optimum that pair-construct --verify compares the cardinality
+with, and path_alpha reads that optimum off the path lengths.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -93,17 +101,31 @@ def construct_extremal_set(params: PairParams, n: int) -> ExtremalPairSet:
 def is_pair_multiplicative(members: Iterable[int], a: int, b: int) -> bool:
     """True iff no x, y in the set satisfy a*x == b*y.
 
-    With a, b reduced by their gcd, a*x == b*y holds exactly when b
-    divides x and y == x // b * a.
+    With a, b reduced by their gcd, a*x == b*y holds exactly when x == b*t
+    and y == a*t for some t >= 1, and t <= max // b.  So the set is marked
+    in a byte mask over [0, max(members)] and the condition is one AND of
+    the strided slices mask[b*t] and mask[a*t], t = 1 .. max // b, read as
+    integers.  Memory is O(max(members)): about one byte per integer up to
+    the largest member, plus the two slices.
     """
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    values = set(members)
-    if values and min(values) < 1:
+    if not isinstance(members, Collection):
+        members = tuple(members)
+    if not members:
+        return True
+    if min(members) < 1:
         raise ValueError("set members must be positive")
     g = gcd(a, b)
     a, b = a // g, b // g
-    return values.isdisjoint({x // b * a for x in values if x % b == 0})
+    top = max(members)
+    mask = bytearray(top + 1)
+    for x in members:
+        mask[x] = 1
+    k = top // b
+    high = int.from_bytes(mask[b : b * k + 1 : b], "big")
+    low = int.from_bytes(mask[a : a * k + 1 : a], "big")
+    return not high & low
 
 
 def build_path_decomposition(params: PairParams, n: int) -> PathDecomposition:
@@ -129,8 +151,13 @@ def build_path_decomposition(params: PairParams, n: int) -> PathDecomposition:
 
 
 def path_alpha(decomposition: PathDecomposition) -> int:
-    """Independence number of the path graph: sum of ceil(len/2) per path."""
-    return sum((len(p) + 1) // 2 for p in decomposition.paths)
+    """Independence number of the path graph: sum of ceil(len/2) per path.
+
+    The paths are counted by length first, so the per-path work runs at C
+    speed and the sum has one term per distinct length.
+    """
+    lengths = Counter(map(len, decomposition.paths))
+    return sum((length + 1) // 2 * count for length, count in lengths.items())
 
 
 def pair_density(params: PairParams) -> Fraction:

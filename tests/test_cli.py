@@ -98,13 +98,26 @@ class TestPairConstruct:
             main(["pair-construct", "--a", "2", "--b", "3", "--n", "0"])
         assert exc.value.code == 2
 
+    @staticmethod
+    def assert_verify_fails_silently(capsys, reason):
+        for fmt in ("json", "csv", "plain"):
+            code, out, err = run_cli(
+                capsys, "pair-construct", "--a", "2", "--b", "3", "--n", "10", "--verify",
+                "--format", fmt,
+            )
+            assert code == 3, fmt
+            assert out == "", fmt
+            assert "verification failed" in err and reason in err, fmt
+
     def test_broken_invariant_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(multsidon.pair_sidon, "path_alpha", lambda d: -1)
-        code, _, err = run_cli(
-            capsys, "pair-construct", "--a", "2", "--b", "3", "--n", "10", "--verify"
+        self.assert_verify_fails_silently(capsys, "path optimum -1")
+
+    def test_condition_violation_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            multsidon.pair_sidon, "is_pair_multiplicative", lambda members, a, b: False
         )
-        assert code == 3
-        assert "verification failed" in err
+        self.assert_verify_fails_silently(capsys, "defining condition")
 
     def test_plain_format_reports_cardinality(self, capsys):
         code, out, _ = run_cli(

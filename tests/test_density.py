@@ -182,7 +182,7 @@ class TestDeltaSmall:
         assert delta_small(T235, 147) == sorted_cells_delta_small(T235, 147)
 
     @pytest.mark.parametrize("triple", [(2, 3, 5), (3, 7, 8)])
-    @pytest.mark.parametrize("request_order", ["rising", "falling", "deep first"])
+    @pytest.mark.parametrize("request_order", ["rising", "falling", "deep first", "deeper"])
     def test_independent_of_request_order(self, triple, request_order):
         t = TripleParams(*triple)
         cutoffs = [0, 1, 2, 3, 7, 16, 25]
@@ -193,6 +193,8 @@ class TestDeltaSmall:
         clear_caches()
         if request_order == "deep first":
             f_table(t, 40)  # extends the shared order far above every cutoff
+        elif request_order == "deeper":
+            components.sorted_cells(t, 120)  # each walk stops at (0, d), far inside the order
         for d in sorted(cutoffs, reverse=request_order == "falling"):
             assert delta_small(t, d) == cold[d], d
 

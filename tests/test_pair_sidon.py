@@ -194,6 +194,32 @@ class TestIsPairMultiplicative:
             members, a, b
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.integers(1, 2000),
+        st.sampled_from(["n", "max", "other"]),
+        st.integers(1, 2000),
+    )
+    @example(1, 2, 2, 12, "n", 1)  # (2, 6): 12 = 3 * 4 and 1 * 4 is in the set
+    @example(2, 1, 1, 12, "n", 1)  # (2, 3): 12 = 3 * 4 and 2 * 4 is in the set
+    @example(2, 1, 1, 9, "other", 6)  # (2, 3): 9 = 3 * 3 and 6 = 2 * 3 is added
+    @example(1, 1, 3, 2000, "max", 1)
+    def test_mask_boundaries(self, a_red, delta, g, n, where, other):
+        """The constructed set plus one x <= n, against the definition.
+
+        x = n may raise the mask's top, x = max(set) leaves it as is, and a
+        violation at t = max // b_red sits at the end of both slices.
+        """
+        a, b = a_red * g, (a_red + delta) * g
+        members = set(construct_extremal_set(reduce_pair(a, b), n).members)
+        members.add({"n": n, "max": max(members), "other": 1 + other % n}[where])
+        assert is_pair_multiplicative(members, a, b) == definition_is_pair_multiplicative(
+            members, a, b
+        )
+
     @pytest.mark.parametrize("members", [{0, 3}, {-4, 6}, [5, -1]])
     def test_rejects_nonpositive_members(self, members):
         with pytest.raises(ValueError):
