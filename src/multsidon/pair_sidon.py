@@ -15,15 +15,15 @@ Those vertices are exactly the even subpowers of b/g.
 
 construct_extremal_set sieves the set in one byte per x <= n, and
 is_pair_multiplicative checks the condition on a byte mask of the set.
-build_path_decomposition materialises the paths themselves: it is the
+build_path_decomposition solves the edge relation for the length of each
+path, one byte per source, without building the paths: it is the
 independent optimum that pair-construct --verify compares the cardinality
 with, and path_alpha reads that optimum off the path lengths.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -60,10 +60,48 @@ def reduce_pair(a: int, b: int) -> PairParams:
 
 @dataclass(frozen=True)
 class PathDecomposition:
-    """Partition of [n] into the maximal chains x -> x*b_red/a_red."""
+    """Partition of [n] into the maximal chains x -> x*b_red/a_red.
 
+    source_lengths[x] is the number of vertices on the path that starts at
+    x, and 0 when x is no source (x = 0 or b_red divides x).  The paths
+    themselves are walked on demand by the paths view.
+    """
+
+    params: PairParams
     n: int
-    paths: tuple[tuple[int, ...], ...]
+    source_lengths: bytes
+
+    @property
+    def paths(self) -> Sequence[tuple[int, ...]]:
+        """The paths in the order of their sources, as a read-only view."""
+        return _PathView(self)
+
+
+class _PathView(Sequence):
+    """The paths of a decomposition, one tuple walked per item read.
+
+    The i-th source is the i-th integer not divisible by b_red, which is
+    i + i // (b_red - 1) + 1, so the length is n - n // b_red.
+    """
+
+    def __init__(self, decomposition: PathDecomposition) -> None:
+        self._d = decomposition
+
+    def __len__(self) -> int:
+        return self._d.n - self._d.n // self._d.params.b_red
+
+    def __getitem__(self, index: int) -> tuple[int, ...]:
+        size = len(self)
+        if not -size <= index < size:
+            raise IndexError("path index out of range")
+        index %= size
+        a, b = self._d.params.a_red, self._d.params.b_red
+        v = index + index // (b - 1) + 1
+        path = [v]
+        for _ in range(self._d.source_lengths[v] - 1):
+            v = v // a * b
+            path.append(v)
+        return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -128,36 +166,52 @@ def is_pair_multiplicative(members: Iterable[int], a: int, b: int) -> bool:
     return not high & low
 
 
+# byte i -> i + 1; no path length comes near 255
+_INCREMENT = bytes(range(1, 256)) + b"\xff"
+
+
 def build_path_decomposition(params: PairParams, n: int) -> PathDecomposition:
     """Split [n] into maximal directed paths under x -> x*b_red/a_red.
 
-    Sources are exactly the integers not divisible by b_red; the successor
-    of x exists when a_red divides x and x*b_red/a_red <= n.
+    The edges are a_red*t -> b_red*t for t <= n // b_red, so the number of
+    vertices on the path from x onward satisfies
+    length[a_red*t] = 1 + length[b_red*t] and is 1 at every other x.
+    Starting from all ones, one round applies that relation to every t at
+    once: a strided slice read, a +1 byte table, a strided slice write.
+    After r rounds each entry is min(length, r + 1), so the rounds stop
+    changing the array after as many rounds as the longest path has edges,
+    and the array they stop at is the unique solution, since every edge
+    goes up.  The vertex at distance d from its source is a multiple of
+    b_red**d, so a path has at most log2(n) + 1 vertices, far below 256 for
+    any n that fits in memory: one byte per vertex holds its length, and
+    there are at most that many rounds of O(n / b_red) work each.  Sources
+    are exactly the integers not divisible by b_red; the other entries are
+    zeroed.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     a, b = params.a_red, params.b_red
-    paths = []
-    for source in range(1, n + 1):
-        if source % b == 0:
-            continue
-        path = [source]
-        v = source
-        while v % a == 0 and v // a * b <= n:
-            v = v // a * b
-            path.append(v)
-        paths.append(tuple(path))
-    return PathDecomposition(n=n, paths=tuple(paths))
+    k = n // b
+    length = bytearray(b"\x00" + b"\x01" * n)
+    while True:
+        longer = length[b::b].translate(_INCREMENT)
+        if longer == length[a : a * k + 1 : a]:
+            break
+        length[a : a * k + 1 : a] = longer
+    length[b::b] = bytes(k)
+    return PathDecomposition(params=params, n=n, source_lengths=bytes(length))
 
 
 def path_alpha(decomposition: PathDecomposition) -> int:
     """Independence number of the path graph: sum of ceil(len/2) per path.
 
-    The paths are counted by length first, so the per-path work runs at C
-    speed and the sum has one term per distinct length.
+    The sources are counted by path length at C speed, so the sum has one
+    term per length up to the longest path.
     """
-    lengths = Counter(map(len, decomposition.paths))
-    return sum((length + 1) // 2 * count for length, count in lengths.items())
+    lengths = decomposition.source_lengths
+    return sum(
+        (length + 1) // 2 * lengths.count(length) for length in range(1, max(lengths) + 1)
+    )
 
 
 def pair_density(params: PairParams) -> Fraction:

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 import multsidon.density
 import multsidon.pair_sidon
 import multsidon.cli
-from multsidon.cli import MAX_EMPIRICAL_N, MAX_PAIR_N, MAX_VERIFIED_N, _json_text, main
+from multsidon.cli import (
+    MAX_EMPIRICAL_N,
+    MAX_PAIR_N,
+    MAX_VERIFIED_N,
+    _JSON_CHUNK,
+    _json_chunks,
+    main,
+)
 from multsidon.rational import format_rational, parse_rational, truncated_decimal
 
 
@@ -452,7 +459,7 @@ class TestJsonText:
         )
     )
     def test_equals_json_dumps(self, payload):
-        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+        assert "".join(_json_chunks(payload)) == json.dumps(payload, indent=2, sort_keys=True)
 
     def test_examples(self):
         for payload in (
@@ -460,8 +467,9 @@ class TestJsonText:
             {"members": [], "x": None},
             {"members": [1, True, 2], "é": "ü", "n": [-3, 10**30]},
             {"rows": [{"member": 1}, {"member": 2}], "members": [1, 2]},
+            {"members": list(range(-1, 2 * _JSON_CHUNK)), "n": 1},  # three pieces
         ):
-            assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+            assert "".join(_json_chunks(payload)) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 @st.composite

@@ -59,6 +59,26 @@ def definition_is_pair_multiplicative(members, a: int, b: int) -> bool:
     return all(a * x != b * y for x in members for y in members)
 
 
+def walked_paths(params, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every maximal path under x -> x*b_red/a_red, walked from its source.
+
+    Sources are exactly the integers not divisible by b_red; the successor
+    of x exists when a_red divides x and x*b_red/a_red <= n.
+    """
+    a, b = params.a_red, params.b_red
+    paths = []
+    for source in range(1, n + 1):
+        if source % b == 0:
+            continue
+        path = [source]
+        v = source
+        while v % a == 0 and v // a * b <= n:
+            v = v // a * b
+            path.append(v)
+        paths.append(tuple(path))
+    return tuple(paths)
+
+
 def count_even_subpowers(b: int, n: int) -> int:
     """Independent cardinality count: levels b**i with even i telescope."""
     total = 0
@@ -237,7 +257,7 @@ class TestPathDecomposition:
 
     def test_single_vertex(self):
         d = build_path_decomposition(reduce_pair(4, 6), 1)
-        assert d.paths == ((1,),)
+        assert tuple(d.paths) == ((1,),)
 
     @pytest.mark.parametrize("a,b,n", [(2, 3, 200), (1, 2, 200), (6, 15, 150)])
     def test_partition_invariants(self, a, b, n):
@@ -249,6 +269,25 @@ class TestPathDecomposition:
             assert path[0] % p.b_red != 0
             for u, v in zip(path, path[1:]):
                 assert u * p.b_red == v * p.a_red
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 29).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 30))),
+        st.integers(1, 3000),
+    )
+    @example((1, 2), 3000)  # a_red = 1: the longest paths
+    @example((1, 30), 2999)
+    @example((6, 15), 3000)  # reduces to (2, 5)
+    @example((4, 6), 1)
+    def test_equals_walked_paths(self, pair, n):
+        """The length fixed point against the per-source walk."""
+        a, b = pair
+        p = reduce_pair(a, b)
+        d = build_path_decomposition(p, n)
+        reference = walked_paths(p, n)
+        assert sorted(d.paths) == sorted(reference)
+        assert path_alpha(d) == sum((len(path) + 1) // 2 for path in reference)
+        assert len(d.paths) == n - n // p.b_red
 
     @pytest.mark.parametrize("a,b", [(2, 3), (3, 5), (2, 4)])
     def test_distance_equals_subpower_index(self, a, b):
