@@ -27,6 +27,7 @@ import json
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain, compress
 
 from . import pair_sidon
 from .components import TripleParams
@@ -111,18 +112,12 @@ def _decimal_fields(value: Fraction, digits: int) -> dict:
     }
 
 
-# ints per piece of a long int list: a few hundred kB of text at a time, never the whole
-_JSON_CHUNK = 1 << 14
-
-
 def _json_chunks(payload: dict) -> Iterator[str]:
-    """The pieces of json.dumps(payload, indent=2, sort_keys=True), faster.
+    """The pieces of json.dumps(payload, indent=2, sort_keys=True).
 
-    That call takes the pure-Python encoder, slow on a long member list,
-    so each top-level value is rendered alone: a non-empty list of plain
-    ints (not bools) from the repr of slices of it, which for such a list
-    is JSON's compact form, and any other value by the C encoder.  The
-    text is yielded in pieces, so a long list is never held whole.
+    Each top-level value is rendered alone by json.dumps, except that an
+    iterator value is taken as the pieces of that value's text, already
+    rendered as JSON at this depth, and is copied in as it is.
     """
     if not payload:
         yield "{}"
@@ -131,17 +126,33 @@ def _json_chunks(payload: dict) -> Iterator[str]:
     for index, key in enumerate(sorted(payload)):
         value = payload[key]
         yield (",\n  " if index else "  ") + json.dumps(key) + ": "
-        if isinstance(value, list) and set(map(type, value)) == {int}:
-            opening = "[\n    "
-            for start in range(0, len(value), _JSON_CHUNK):
-                # one piece per write: a separator of its own would be a write of its own
-                text = repr(value[start : start + _JSON_CHUNK])[1:-1].replace(", ", ",\n    ")
-                yield opening + text
-                opening = ",\n    "
-            yield "\n  ]"
+        if isinstance(value, Iterator):
+            yield from value
         else:
             yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
     yield "\n}"
+
+
+# str(i) for i < 1000, and the same zero-padded to three digits
+_DECIMAL = tuple(map(str, range(1000)))
+_PAD3 = tuple(f"{i:03}" for i in range(1000))
+
+
+def _member_text(mask: bytes, sep: str) -> Iterator[str]:
+    """The x with mask[x] == 1, in decimal, ascending and joined by sep, in pieces.
+
+    The mask is read in blocks of 1000.  Every x = 1000q + r in block q >= 1
+    is str(q) followed by r padded to three digits, so a block's text is
+    one join of the padded strings its slice of the mask selects, at C
+    speed and with no int per member.  Block 0 joins the plain str(r).
+    """
+    lead = ""
+    for start in range(0, len(mask), 1000):
+        head, table = (str(start // 1000), _PAD3) if start else ("", _DECIMAL)
+        block = (sep + head).join(compress(table, mask[start : start + 1000]))
+        if block:
+            yield lead + head + block
+            lead = sep
 
 
 def _emit(report: dict, rows: list[dict] | None, fmt: str, plain: str) -> None:
@@ -150,8 +161,8 @@ def _emit(report: dict, rows: list[dict] | None, fmt: str, plain: str) -> None:
         payload = dict(report)
         if rows is not None:
             payload["rows"] = rows
-        sys.stdout.writelines(_json_chunks(payload))
-        sys.stdout.write("\n")
+        # joined once, newline included, and written in one call
+        sys.stdout.write("".join([*_json_chunks(payload), "\n"]))
     elif fmt == "csv":
         out = io.StringIO()
         data = rows if rows is not None else [report]
@@ -192,34 +203,34 @@ def _cmd_pair_construct(args: argparse.Namespace) -> int:
         # the path lengths are freed before the set is built, so the peaks do not add up
         alpha = pair_sidon.path_alpha(pair_sidon.build_path_decomposition(params, args.n))
     extremal = pair_sidon.construct_extremal_set(params, args.n)
+    cardinality = extremal.cardinality
     if args.verify:
-        if extremal.cardinality != alpha:
-            raise VerificationError(
-                f"cardinality {extremal.cardinality} != path optimum {alpha}"
-            )
-        if not pair_sidon.is_pair_multiplicative(extremal.members, params.a, params.b):
+        if cardinality != alpha:
+            raise VerificationError(f"cardinality {cardinality} != path optimum {alpha}")
+        if not pair_sidon.is_pair_multiplicative(extremal, params.a, params.b):
             raise VerificationError("constructed set violates the defining condition")
         verified = True
+    if args.format == "csv":
+        # csv.DictWriter's bytes for the one column "member"; 1 is always a member
+        sys.stdout.write("".join(["member\r\n", *_member_text(extremal.mask, "\r\n"), "\r\n"]))
+        return 0
     report = {
         "command": "pair-construct",
         "a": params.a,
         "b": params.b,
         "n": args.n,
-        "cardinality": extremal.cardinality,
-        "members": list(extremal.members),
+        "cardinality": cardinality,
+        # json.dumps' indent=2 list, rendered only if written; 1 is always a member
+        "members": chain(["[\n    "], _member_text(extremal.mask, ",\n    "), ["\n  ]"]),
     }
     if verified is not None:
         report["verified"] = verified
     plain = (
         f"extremal set for a={params.a}, b={params.b}, n={args.n}: "
-        f"cardinality {extremal.cardinality}"
+        f"cardinality {cardinality}"
         + (" (verified)" if verified else "")
     )
-    if args.format == "csv":
-        # csv.DictWriter's bytes for the one column "member", with no dict per member
-        sys.stdout.write("member\r\n" + "".join(f"{m}\r\n" for m in extremal.members))
-    else:
-        _emit(report, None, args.format, plain)
+    _emit(report, None, args.format, plain)
     return 0
 
 

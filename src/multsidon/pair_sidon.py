@@ -13,8 +13,9 @@ most one, so [n] splits into disjoint directed paths, and a maximum
 independent set takes the vertices at even distance from each path source.
 Those vertices are exactly the even subpowers of b/g.
 
-construct_extremal_set sieves the set in one byte per x <= n, and
-is_pair_multiplicative checks the condition on a byte mask of the set.
+construct_extremal_set sieves the set in one byte per x <= n and keeps it
+as that byte mask, so no int object is made per member unless the members
+are asked for; is_pair_multiplicative checks the condition on the mask.
 build_path_decomposition solves the edge relation for the length of each
 path, one byte per source, without building the paths: it is the
 independent optimum that pair-construct --verify compares the cardinality
@@ -106,14 +107,32 @@ class _PathView(Sequence):
 
 @dataclass(frozen=True)
 class ExtremalPairSet:
-    """The even subpowers of b_red inside [n], sorted ascending."""
+    """The even subpowers of b_red inside [n], as a byte mask over [0, n].
+
+    mask[x] is 1 when x is a member and 0 otherwise; mask[0] is 0.  The
+    members are read off the mask, in ascending order, only when asked for.
+    """
 
     n: int
-    members: tuple[int, ...]
+    mask: bytes
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.mask, bytes):
+            raise TypeError("mask must be bytes")
+        if len(self.mask) != self.n + 1:
+            raise ValueError(f"mask must hold n + 1 = {self.n + 1} bytes, got {len(self.mask)}")
+        if self.mask[:1] != b"\x00":
+            raise ValueError("0 cannot be a member")
+        if self.mask.count(0) + self.cardinality != len(self.mask):
+            raise ValueError("mask bytes must be 0 or 1")
 
     @property
     def cardinality(self) -> int:
-        return len(self.members)
+        return self.mask.count(1)
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return tuple(compress(range(self.n + 1), self.mask))
 
 
 def construct_extremal_set(params: PairParams, n: int) -> ExtremalPairSet:
@@ -121,8 +140,8 @@ def construct_extremal_set(params: PairParams, n: int) -> ExtremalPairSet:
 
     Marks the parity of v_b(x), b = b_red, in one byte per x <= n: the
     multiples of b**i are overwritten with (i even) for i = 1, 2, ...,
-    one slice per power, so the last write to x is at i = v_b(x).  The
-    members are read off in ascending order.  Total work is O(n).
+    one slice per power, so the last write to x is at i = v_b(x).  Total
+    work is O(n).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -133,34 +152,40 @@ def construct_extremal_set(params: PairParams, n: int) -> ExtremalPairSet:
         mask[power::power] = bytes((even,)) * (n // power)
         power *= b
         even ^= 1
-    return ExtremalPairSet(n=n, members=tuple(compress(range(n + 1), mask)))
+    return ExtremalPairSet(n=n, mask=bytes(mask))
 
 
-def is_pair_multiplicative(members: Iterable[int], a: int, b: int) -> bool:
+def is_pair_multiplicative(
+    members: ExtremalPairSet | Iterable[int], a: int, b: int
+) -> bool:
     """True iff no x, y in the set satisfy a*x == b*y.
 
     With a, b reduced by their gcd, a*x == b*y holds exactly when x == b*t
-    and y == a*t for some t >= 1, and t <= max // b.  So the set is marked
-    in a byte mask over [0, max(members)] and the condition is one AND of
-    the strided slices mask[b*t] and mask[a*t], t = 1 .. max // b, read as
-    integers.  Memory is O(max(members)): about one byte per integer up to
-    the largest member, plus the two slices.
+    and y == a*t for some t >= 1, and t <= top // b for any top at least
+    the largest member.  So on a byte mask of the set over [0, top] the
+    condition is one AND of the strided slices mask[b*t] and mask[a*t],
+    t = 1 .. top // b, read as integers.  An ExtremalPairSet is checked on
+    its own mask, with top = n; any other set is first marked in a mask
+    over [0, max(members)], about one byte per integer up to its largest
+    member.  Either way the rest is the two slices.
     """
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    if not isinstance(members, Collection):
-        members = tuple(members)
-    if not members:
-        return True
-    if min(members) < 1:
-        raise ValueError("set members must be positive")
+    if isinstance(members, ExtremalPairSet):
+        mask = members.mask
+    else:
+        if not isinstance(members, Collection):
+            members = tuple(members)
+        if not members:
+            return True
+        if min(members) < 1:
+            raise ValueError("set members must be positive")
+        mask = bytearray(max(members) + 1)
+        for x in members:
+            mask[x] = 1
     g = gcd(a, b)
     a, b = a // g, b // g
-    top = max(members)
-    mask = bytearray(top + 1)
-    for x in members:
-        mask[x] = 1
-    k = top // b
+    k = (len(mask) - 1) // b
     high = int.from_bytes(mask[b : b * k + 1 : b], "big")
     low = int.from_bytes(mask[a : a * k + 1 : a], "big")
     return not high & low
@@ -205,13 +230,19 @@ def build_path_decomposition(params: PairParams, n: int) -> PathDecomposition:
 def path_alpha(decomposition: PathDecomposition) -> int:
     """Independence number of the path graph: sum of ceil(len/2) per path.
 
-    The sources are counted by path length at C speed, so the sum has one
-    term per length up to the longest path.
+    The sources are counted by path length at C speed, for lengths 1, 2,
+    ... until the counts cover every source, so the sum has one term per
+    length up to the longest path.
     """
     lengths = decomposition.source_lengths
-    return sum(
-        (length + 1) // 2 * lengths.count(length) for length in range(1, max(lengths) + 1)
-    )
+    uncounted = len(decomposition.paths)
+    alpha = length = 0
+    while uncounted > 0:
+        length += 1
+        sources = lengths.count(length)
+        alpha += (length + 1) // 2 * sources
+        uncounted -= sources
+    return alpha
 
 
 def pair_density(params: PairParams) -> Fraction:

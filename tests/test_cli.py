@@ -6,20 +6,22 @@ import io
 import json
 import time
 from fractions import Fraction
+from itertools import compress
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multsidon.density
 import multsidon.pair_sidon
 import multsidon.cli
+from multsidon import construct_extremal_set, reduce_pair
 from multsidon.cli import (
     MAX_EMPIRICAL_N,
     MAX_PAIR_N,
     MAX_VERIFIED_N,
-    _JSON_CHUNK,
     _json_chunks,
+    _member_text,
     main,
 )
 from multsidon.rational import format_rational, parse_rational, truncated_decimal
@@ -151,6 +153,25 @@ class TestPairConstruct:
         members = run_json(capsys, *argv)["members"]
         assert lines[1:] == [str(m) for m in members]
         assert lines[1:] == ["1", "2", "4", "5", "7", "8", "9", "10"]
+        reference = io.StringIO()
+        writer = csv.DictWriter(reference, fieldnames=["member"])
+        writer.writeheader()
+        writer.writerows({"member": m} for m in members)
+        assert out == reference.getvalue()
+
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 2000, 3001])
+    @pytest.mark.parametrize("a,b", [(4, 6), (1, 2)])
+    def test_members_equal_library_renderings(self, capsys, a, b, n):
+        """json and csv against json.dumps and csv.DictWriter on the member list."""
+        members = list(construct_extremal_set(reduce_pair(a, b), n).members)
+        argv = ("pair-construct", "--a", str(a), "--b", str(b), "--n", str(n), "--verify")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = {"command": "pair-construct", "a": a, "b": b, "n": n,
+                  "cardinality": len(members), "members": members, "verified": True}
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
         reference = io.StringIO()
         writer = csv.DictWriter(reference, fieldnames=["member"])
         writer.writeheader()
@@ -467,9 +488,34 @@ class TestJsonText:
             {"members": [], "x": None},
             {"members": [1, True, 2], "é": "ü", "n": [-3, 10**30]},
             {"rows": [{"member": 1}, {"member": 2}], "members": [1, 2]},
-            {"members": list(range(-1, 2 * _JSON_CHUNK)), "n": 1},  # three pieces
+            {"members": list(range(-1, 32768)), "n": 1},
         ):
             assert "".join(_json_chunks(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@st.composite
+def member_masks(draw):
+    """0/1 byte masks with mask[0] == 0, of 1..5000 bytes, from empty to full."""
+    size = draw(st.integers(1, 5000))
+    density = draw(st.sampled_from([0.0, 0.0005, 0.01, 0.5, 0.99, 1.0]))
+    rng = draw(st.randoms(use_true_random=True))
+    return bytes([0] + [rng.random() < density for _ in range(size - 1)])
+
+
+class TestMemberText:
+    """The mask renderer against str and join on the ints it selects."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(member_masks(), st.sampled_from([",\n    ", "\r\n", ", ", ""]))
+    @example(b"\x00" + b"\x01" * 998, ",\n    ")
+    @example(b"\x00" + b"\x01" * 999, ",\n    ")
+    @example(b"\x00" + b"\x01" * 1000, "\r\n")
+    @example(b"\x00" * 1001 + b"\x01", "\r\n")
+    @example(b"\x00" * 2000 + b"\x01", ", ")
+    @example(b"\x00" + b"\x01" + b"\x00" * 1998 + b"\x01", ", ")  # an empty block between
+    def test_equals_join_of_str(self, mask, sep):
+        expected = sep.join(map(str, compress(range(len(mask)), mask)))
+        assert "".join(_member_text(mask, sep)) == expected
 
 
 @st.composite

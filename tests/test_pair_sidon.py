@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multsidon import (
+    ExtremalPairSet,
     build_path_decomposition,
     cardinality_bounds,
     construct_extremal_set,
@@ -179,6 +180,38 @@ class TestConstructExtremalSet:
         assert construct_extremal_set(p, n).members == level_sieve_members(p.b_red, n)
 
 
+class TestExtremalPairSet:
+    def test_mask_of_the_constructed_set(self):
+        s = construct_extremal_set(reduce_pair(2, 3), 10)
+        assert s.mask == bytes([0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1])
+        assert s.members == tuple(x for x in range(11) if s.mask[x])
+
+    @given(st.binary(max_size=300).map(lambda tail: b"\x00" + bytes(c & 1 for c in tail)))
+    def test_members_and_cardinality_read_the_mask(self, mask):
+        s = ExtremalPairSet(n=len(mask) - 1, mask=mask)
+        assert s.members == tuple(x for x in range(len(mask)) if mask[x] == 1)
+        assert s.cardinality == len(s.members)
+
+    @pytest.mark.parametrize(
+        "n,mask",
+        [
+            (3, b"\x00\x01\x01"),  # one byte short
+            (1, b"\x00\x01\x01"),  # one byte long
+            (0, b""),
+            (2, b"\x01\x01\x01"),  # 0 marked
+            (3, b"\x00\x01\x02\x01"),
+            (2, b"\x00\x01\xff"),
+        ],
+    )
+    def test_rejects_invalid_masks(self, n, mask):
+        with pytest.raises(ValueError):
+            ExtremalPairSet(n=n, mask=mask)
+
+    def test_rejects_a_mutable_mask(self):
+        with pytest.raises(TypeError):
+            ExtremalPairSet(n=2, mask=bytearray(b"\x00\x01\x01"))
+
+
 class TestIsPairMultiplicative:
     def test_direct_violation(self):
         assert not is_pair_multiplicative({1, 2, 4}, 1, 2)
@@ -239,6 +272,33 @@ class TestIsPairMultiplicative:
         assert is_pair_multiplicative(members, a, b) == definition_is_pair_multiplicative(
             members, a, b
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.binary(max_size=300),
+        st.lists(st.integers(1, 300), max_size=3),
+    )
+    @example(2, 1, 1, b"\x01" * 9, [])  # (2, 3) on [9]: 2*3 == 3*2
+    @example(2, 1, 1, b"\x01\x01\x00\x01\x01\x00\x01\x01\x01", [])  # the extremal set
+    @example(1, 2, 2, b"\x00" * 11, [4])  # (2, 6): 1*4 and 3*4 injected, t = n // 3
+    def test_mask_equals_definition(self, a_red, delta, g, tail, violations):
+        """An ExtremalPairSet's own mask, against the definition and the set path.
+
+        Each t in violations with b_red*t <= n marks a_red*t and b_red*t.
+        """
+        a, b = a_red * g, (a_red + delta) * g
+        mask = bytearray(b"\x00" + bytes(c & 1 for c in tail))
+        n = len(mask) - 1
+        for t in violations:
+            if (a_red + delta) * t <= n:
+                mask[a_red * t] = mask[(a_red + delta) * t] = 1
+        s = ExtremalPairSet(n=n, mask=bytes(mask))
+        expected = definition_is_pair_multiplicative(s.members, a, b)
+        assert is_pair_multiplicative(s, a, b) == expected
+        assert is_pair_multiplicative(s.members, a, b) == expected
 
     @pytest.mark.parametrize("members", [{0, 3}, {-4, 6}, [5, -1]])
     def test_rejects_nonpositive_members(self, members):
