@@ -55,7 +55,7 @@ TABLE_TRIPLES = (
 DEFAULT_DECIMAL_DIGITS = 6
 # Below CPython's default 4300-digit limit on int-to-str conversion.
 MAX_DECIMAL_DIGITS = 4000
-# pair-construct --verify peaks near 220 MB of memory (0.9 s) at n = 10**7.
+# pair-construct --verify peaks near 230 MB of memory (0.6-0.9 s) at n = 10**7.
 MAX_PAIR_N = 10**7
 # empirical's floor-block sum is O(sqrt(n) log n): about 3.4 s at n = 10**12.
 MAX_EMPIRICAL_N = 10**12
