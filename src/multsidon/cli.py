@@ -8,9 +8,11 @@ truncated, never rounded, with the digit count stated.
 
 Work is bounded up front: --digits must lie in [0, MAX_DECIMAL_DIGITS],
 pair-construct refuses n above MAX_PAIR_N, since it holds the whole set in
-memory, the triple commands refuse a cutoff above density.MAX_CUTOFF, and
-empirical refuses n above MAX_EMPIRICAL_N, or above MAX_VERIFIED_N when
-n <= --verify-upto asks for the O(n) cross-check.
+memory, and empirical refuses n above MAX_EMPIRICAL_N, or above
+MAX_VERIFIED_N when n <= --verify-upto asks for the O(n) cross-check.  The
+triple commands refuse a cutoff above density.MAX_CUTOFF (500), and an
+--eps whose decimal exponent exceeds MAX_EPS_EXPONENT in magnitude, before
+the Fraction is built.
 
 Exit codes: 0 on success, 2 on invalid parameters, malformed input or a
 refused work size, 3 when an internal cross-check fails (which would
@@ -61,9 +63,22 @@ MAX_PAIR_N = 10**7
 MAX_EMPIRICAL_N = 10**12
 # Re-solving every component by matching is O(n): about 1.8 s at n = 10**5.
 MAX_VERIFIED_N = 10**5
+# Fraction("1e-N") builds 10**N exactly, which takes about 10 s at N = 10**7.
+# 1e-100000 is refused in about 0.2 s, for a cutoff of 332229.
+MAX_EPS_EXPONENT = 100_000
 
 
 def _parse_eps(text: str) -> Fraction:
+    _, marker, exponent = text.lower().partition("e")
+    if marker:
+        try:
+            too_large = abs(int(exponent)) > MAX_EPS_EXPONENT
+        except ValueError:  # not an exponent: Fraction rejects it below
+            too_large = False
+        if too_large:
+            raise argparse.ArgumentTypeError(
+                f"decimal exponent of {text!r} exceeds {MAX_EPS_EXPONENT} in magnitude"
+            )
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

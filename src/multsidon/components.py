@@ -22,7 +22,8 @@ truncation to values <= r is a prefix of it and is downward closed,
 because a step back in x or y divides the value by b/a or c/a
 (check_staircase tests this).  So the running size of the larger parity
 class along the list is the truncated independence number f(p, r) that
-f_table and f_value read, and the density kernel walks the same order.
+f_table and f_value read.  The density kernel walks the same order up
+the bottom of every height, and a CellOrder of (ab, ac, bc) down its top.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ def alpha_complete(height: int) -> int:
 class CellOrder:
     """The cells (x, y) with x + y <= height, by value at any height.
 
-    powers holds the powers of a, b and c up to the height.  extend adds
-    the diagonals x + y = h one at a time and finds the index of each new
-    cell without comparing it to the old ones.  The shifts (x, y) ->
+    The bases a < b < c need not be coprime, as long as no two cells share
+    a value.  powers holds their powers up to the height.  extend adds the
+    diagonals x + y = h one at a time and finds the index of each new cell
+    without comparing it to the old ones.  The shifts (x, y) ->
     (x, y + 1) and (x, y) -> (x + 1, y) multiply every value by c/a and by
     b/a, so they keep the order.  Hence:
 
@@ -94,8 +96,8 @@ class CellOrder:
         count never falls as h grows, so it is kept and advanced.
     """
 
-    def __init__(self, params: TripleParams) -> None:
-        self._bases = (params.a, params.b, params.c)
+    def __init__(self, bases: tuple[int, int, int]) -> None:
+        self._bases = bases
         self.powers: tuple[list[int], list[int], list[int]] = ([1], [1], [1])
         self.cells: list[Coord] = [(0, 0)]
         self.height = 0
@@ -125,7 +127,7 @@ class CellOrder:
 
 @lru_cache(maxsize=None)
 def _cell_order(params: TripleParams) -> CellOrder:
-    return CellOrder(params)
+    return CellOrder((params.a, params.b, params.c))
 
 
 def cell_order(params: TripleParams, height: int) -> CellOrder:

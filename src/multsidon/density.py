@@ -22,12 +22,53 @@ Each 1/v_k = a^(x+y) b^(p-x) c^(p-y) / (abc)^p, so height p adds one integer
 numerator N_p, and delta_S(d) = K * sum_p N_p (abc)^(d-p) / (abc)^d is
 accumulated by Horner's rule into a single Fraction.
 
-N_p needs no sort and no division.  All heights share one cell order
-(components.cell_order), so height p walks it up to its largest cell
-(0, p), keeping the cells with x + y <= p, and finds the rising plateaus
-by a sign walk on the small int #even - #odd.  Each term is a product
-from the order's power tables.  N_p is cached per height, so a larger
-cutoff computes only its new heights.
+N_p needs no sort, no division and no walk per height: all heights up to d
+together cost O(d^2) big-int additions.  Divided by a^p, the value of cell
+(x, y) is w = (b/a)^x (c/a)^y, which does not depend on p.  Along cells of
+rising value let diff = #even - #odd, by the parity of x + y, over the
+cells passed so far; f rises at a cell iff the cell moves diff away from 0,
+i.e. iff diff before it is 0 or has the cell's sign (+1 for x + y even).
+Cut the height-p triangle at the value b^(p+1)/a into two regions.
+
+Bottom: a * value < b^(p+1), i.e. b^x c^y a^(p+1-x-y) < b^(p+1), i.e.
+w < (b/a)^(p+1).  Since c > b, w >= (b/a)^(x+y), so every point of the
+quarter plane below that bound has x + y <= p and is a cell of height p.
+The bottom region is therefore a prefix of the one infinite walk of the
+quarter plane by w (components.cell_order), the diff before each of its
+cells is the same at every height, and a bottom cell rises at p iff it
+rises in that walk.  A cell enters the region at the least p with
+(b/a)^(p+1) > w and stays in it; w grows along the walk, so the entry
+heights do not decrease.  A rising cell adds a^(x+y) b^(p-x) c^(p-y) from
+its entry on, which grows by bc per height:
+    B_(p+1) = bc B_p + the terms of the rising cells entering at p + 1.
+
+Top: the other cells, c^(x+j) b^(p+1) <= c^p a^(j+1) b^x with
+j = p - x - y.  The value is a^j b^x c^(p-x-j), so descending value is
+ascending key (c/b)^x (c/a)^j, again free of p: the infinite walk of
+CellOrder over the bases (ab, ac, bc) in the points (x, j), whose values
+are distinct because a, b, c are coprime.  The top test reads
+key * b/a <= (c/b)^p; a point enters at the least such p and stays
+(c/b > 1), so the entry heights do not decrease along this walk either.
+Every point before a top cell in the walk is a cell of height p: a point
+with x + j = p + k, k >= 1, has y = -k and w <= (b/a)^(p+k) (a/c)^k
+< (b/a)^p, below every top cell.  So the cells above a top cell are the
+points before it.  Let u = #(j even) - #(j odd) over them.  Over the whole
+triangle #even - #odd is (-1)^p (floor(p/2) + 1), and x + y is even iff
+j = p mod 2, so the diff below the cell is
+(-1)^p (floor(p/2) + 1 - u - (-1)^j) and the cell's sign is (-1)^(p+j).
+The cell rises iff their product is >= 0: for even j iff p >= 2u, for odd
+j iff p <= 2u - 3.  Its term a^(p-j) b^(p-x) c^(x+j) grows by ab per height:
+    T_(p+1) = ab T_p + the cells that start to rise at p + 1
+              - the odd-j cells whose last rising height is p.
+
+Every cell of the triangle lies in exactly one region, so
+    N_p = B_p + T_p - alpha_complete(p) (ab)^p.
+Each cell enters once and stops rising at most once.  The kernel of each
+TripleParams keeps a pointer into each walk, both sums and every finished
+N_p, so a larger cutoff computes only its new heights.  Growing the walks
+keeps the pointers valid: the cells added for heights above d have
+x + y > d, so w >= (b/a)^(d+1) (resp. x + j > d, so key >= (c/b)^(d+1)),
+and they land past every cell that enters at or below d.
 """
 
 from __future__ import annotations
@@ -35,16 +76,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
-from .components import TripleParams, admissible_density, alpha_complete, cell_order
+from .components import CellOrder, TripleParams, admissible_density, alpha_complete, cell_order
 from .rational import truncated_decimal
 
 MAX_CONVERGENCE_DIGITS = 12
-# The sign walk visits every cell of every height up to the cutoff, O(cutoff**3)
-# small-int steps: about 10.8M at 400.  triple-density --a 2 --b 3 --c 5 --d 400
-# takes 2.5 s and peaks at 24 MB on a 2-core Xeon with Python 3.11.
-MAX_CUTOFF = 400
+# The kernel makes O(cutoff**2) big-int additions, but CellOrder.extend copies
+# each walk's whole order once per diagonal, O(cutoff**3) list copying, and takes
+# about three quarters of the time.  triple-density --a 2 --b 3 --c 5 --d 500
+# takes 1.7 s and peaks at 42 MB on a 2-core Xeon with Python 3.11 (--d 600:
+# 2.9 s, over the 2.5 s budget).
+MAX_CUTOFF = 500
 
 
 def beta(params: TripleParams) -> Fraction:
@@ -58,40 +100,86 @@ def delta_complete(params: TripleParams) -> Fraction:
     return Fraction((a - 1) * (b - 1) * c**3, a * b * (c - 1) ** 2 * (c + 1))
 
 
-@lru_cache(maxsize=None)
-def _height_numerator(params: TripleParams, height: int) -> int:
-    """N_p: (abc)^p / v per rising plateau, less f_last * (abc)^p / c^p.
+class _Kernel:
+    """N_p of every height up to the largest cutoff asked, for one params.
 
-    Walks the shared cell order up to (0, p), the largest cell of height p
-    (value c^p), skipping cells above the height.  diff is #even - #odd so
-    far, and a cell raises the plateau max(#even, #odd) exactly when it
-    moves diff away from 0.  A rising cell adds
-    (abc)^p / v = (a^x b^(p-x)) * (a^y c^(p-y)); the second factor is
-    summed per x and multiplied by the first once.  f_last is
-    alpha_complete(p).
+    The bottom walk is the shared cell order of params; the top walk is
+    the cell order of (ab, ac, bc) over the points (x, j).  Each keeps a
+    pointer to its first cell that has not yet entered its region, and the
+    parity count before it.  A top cell whose rising range starts or ends
+    above the height it enters at is filed under that height.
     """
-    order = cell_order(params, height)
-    pa, pb, pc = order.powers
-    row = [pa[y] * pc[height - y] for y in range(height + 1)]
-    by_x = [0] * (height + 1)
-    diff = 0
-    cells = order.cells
-    if order.height > height:  # no cell of this height lies past (0, height)
-        cells = islice(cells, cells.index((0, height)) + 1)
-    for x, y in cells:
-        s = x + y
-        if s > height:
-            continue
-        if s & 1:
-            diff -= 1
-            if diff < 0:
-                by_x[x] += row[y]
-        else:
-            diff += 1
-            if diff > 0:
-                by_x[x] += row[y]
-    total = sum(pa[x] * pb[height - x] * by_x[x] for x in range(height + 1))
-    return total - alpha_complete(height) * pa[height] * pb[height]
+
+    def __init__(self, params: TripleParams) -> None:
+        a, b, c = params.a, params.b, params.c
+        self._params = params
+        self._top = CellOrder((a * b, a * c, b * c))
+        self.numerators: list[int] = []
+        self._bottom = self._bottom_diff = self._bottom_sum = 0
+        self._top_next = self._top_diff = self._top_sum = 0
+        self._starts: dict[int, list[tuple[int, int]]] = {}
+        self._stops: dict[int, list[tuple[int, int]]] = {}
+
+    def extend(self, cutoff: int) -> None:
+        if cutoff < len(self.numerators):
+            return
+        a, b, c = self._params.a, self._params.b, self._params.c
+        order = cell_order(self._params, cutoff)
+        bottom, (pa, pb, pc) = order.cells, order.powers
+        top = self._top
+        top.extend(cutoff)
+        i, diff, bottom_sum = self._bottom, self._bottom_diff, self._bottom_sum
+        k, u, top_sum = self._top_next, self._top_diff, self._top_sum
+        starts, stops = self._starts, self._stops
+        for p in range(len(self.numerators), cutoff + 1):
+            bottom_sum *= b * c
+            limit = pb[p] * b  # a cell is in the bottom region iff a * value < b**(p+1)
+            while i < len(bottom):
+                x, y = bottom[i]
+                s = x + y
+                if s > p or pa[p - s] * pb[x] * pc[y] * a >= limit:
+                    break
+                i += 1
+                if s & 1:
+                    diff -= 1
+                    if diff < 0:
+                        bottom_sum += pa[s] * pb[p - x] * pc[p - y]
+                else:
+                    diff += 1
+                    if diff > 0:
+                        bottom_sum += pa[s] * pb[p - x] * pc[p - y]
+            top_sum *= a * b
+            for x, j in starts.pop(p, ()):
+                top_sum += pa[p - j] * pb[p - x] * pc[x + j]
+            for x, j in stops.pop(p, ()):
+                top_sum -= pa[p - j] * pb[p - x] * pc[x + j]
+            scale = pc[p] * a  # top region iff c**(x+j) * b**(p+1) <= c**p * a**(j+1) * b**x
+            cells = top.cells
+            while k < len(cells):
+                x, j = cells[k]
+                if pc[x + j] * pb[p] * b > scale * pa[j] * pb[x]:
+                    break
+                k += 1
+                if j & 1:
+                    u -= 1
+                    last = 2 * u - 1  # 2u - 3 for the count u before this cell
+                    if p <= last:
+                        top_sum += pa[p - j] * pb[p - x] * pc[x + j]
+                        stops.setdefault(last + 1, []).append((x, j))
+                else:
+                    if p >= 2 * u:
+                        top_sum += pa[p - j] * pb[p - x] * pc[x + j]
+                    else:
+                        starts.setdefault(2 * u, []).append((x, j))
+                    u += 1
+            self.numerators.append(bottom_sum + top_sum - alpha_complete(p) * pa[p] * pb[p])
+        self._bottom, self._bottom_diff, self._bottom_sum = i, diff, bottom_sum
+        self._top_next, self._top_diff, self._top_sum = k, u, top_sum
+
+
+@lru_cache(maxsize=None)
+def _kernel(params: TripleParams) -> _Kernel:
+    return _Kernel(params)
 
 
 def delta_small(params: TripleParams, cutoff: int) -> Fraction:
@@ -101,10 +189,12 @@ def delta_small(params: TripleParams, cutoff: int) -> Fraction:
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    kernel = _kernel(params)
+    kernel.extend(cutoff)
     abc = params.a * params.b * params.c
     total = 0
-    for p in range(cutoff + 1):
-        total = total * abc + _height_numerator(params, p)
+    for numerator in kernel.numerators[:cutoff + 1]:
+        total = total * abc + numerator
     k = admissible_density(params)
     return Fraction(k.numerator * total, k.denominator * abc**cutoff)
 

@@ -18,6 +18,7 @@ import multsidon.cli
 from multsidon import construct_extremal_set, reduce_pair
 from multsidon.cli import (
     MAX_EMPIRICAL_N,
+    MAX_EPS_EXPONENT,
     MAX_PAIR_N,
     MAX_VERIFIED_N,
     _json_chunks,
@@ -271,7 +272,33 @@ class TestTripleDensity:
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
-        assert f"cutoff {cutoff} " in err and "[0, 400]" in err
+        assert f"cutoff {cutoff} " in err and f"[0, {multsidon.density.MAX_CUTOFF}]" in err
+
+    @pytest.mark.parametrize("command", ["triple-density", "triple-table"])
+    @pytest.mark.parametrize("eps", ["1e-10000000", "1e-100000000", "1e100000000"])
+    def test_huge_eps_exponent_exits_2_at_once(self, capsys, command, eps):
+        argv = (command, "--eps", eps)
+        if command == "triple-density":
+            argv += ("--a", "2", "--b", "3", "--c", "5")
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"argument --eps: decimal exponent of '{eps}' exceeds {MAX_EPS_EXPONENT} in magnitude"
+        )
+
+    def test_eps_exponent_limit_is_inclusive(self, capsys):
+        base = ("triple-density", "--a", "2", "--b", "3", "--c", "5", "--eps")
+        code, out, err = run_cli(capsys, *base, f"1e-{MAX_EPS_EXPONENT}")
+        assert (code, out) == (2, "") and "cutoff 332229 " in err
+        with pytest.raises(SystemExit) as exc:
+            main([*base, f"1E-{MAX_EPS_EXPONENT + 1}"])
+        assert exc.value.code == 2 and "exponent" in capsys.readouterr().err
+        assert run_json(capsys, *base, "5E-5")["eps"] == "1/20000"
 
     def test_cutoff_limit_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(multsidon.density, "MAX_CUTOFF", 10)

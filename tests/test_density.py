@@ -1,8 +1,9 @@
-"""Density tests: closed forms against partial series, the integer kernel
-against a sort-and-divide numerator, Fraction telescoping and literal double
-sums, and tail-bound soundness."""
+"""Density tests: closed forms against partial series, the two-walk kernel
+against the per-height sign walk, a sort-and-divide numerator, Fraction
+telescoping and literal double sums, and tail-bound soundness."""
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -23,7 +24,7 @@ from multsidon import (
     tail_bound,
 )
 from multsidon import components, density
-from multsidon.components import _f_arrays, admissible_density
+from multsidon.components import CellOrder, _f_arrays, admissible_density, alpha_complete
 
 TABLE_TRIPLES = [
     (2, 3, 5), (2, 3, 7), (2, 5, 7), (2, 5, 9), (2, 7, 9),
@@ -37,6 +38,14 @@ SMALL_TRIPLES = [
     for a in range(2, 6)
     for b in range(a + 1, 13)
     for c in range(b + 1, 14)
+    if gcd(a, b) == gcd(a, c) == gcd(b, c) == 1
+]
+
+KERNEL_TRIPLES = [
+    (a, b, c)
+    for a in range(2, 8)
+    for b in range(a + 1, 19)
+    for c in range(b + 1, 20)
     if gcd(a, b) == gcd(a, c) == gcd(b, c) == 1
 ]
 
@@ -103,9 +112,51 @@ def sorted_cells_delta_small(t: TripleParams, cutoff: int) -> Fraction:
     return admissible_density(t) * Fraction(total, abc**cutoff)
 
 
+def sign_walk_numerator(t: TripleParams, height: int) -> int:
+    """N_p by one sign walk along the shared cell order per height, O(p^2).
+
+    Walks the order up to (0, p), the largest cell of height p (value c^p),
+    skipping cells above the height.  diff is #even - #odd so far, and a
+    cell raises the plateau max(#even, #odd) exactly when it moves diff
+    away from 0.  A rising cell adds (abc)^p / v = (a^x b^(p-x)) *
+    (a^y c^(p-y)); the second factor is summed per x and multiplied by the
+    first once.  f_last is alpha_complete(p).
+    """
+    order = components.cell_order(t, height)
+    pa, pb, pc = order.powers
+    row = [pa[y] * pc[height - y] for y in range(height + 1)]
+    by_x = [0] * (height + 1)
+    diff = 0
+    cells = order.cells
+    if order.height > height:  # no cell of this height lies past (0, height)
+        cells = islice(cells, cells.index((0, height)) + 1)
+    for x, y in cells:
+        s = x + y
+        if s > height:
+            continue
+        if s & 1:
+            diff -= 1
+            if diff < 0:
+                by_x[x] += row[y]
+        else:
+            diff += 1
+            if diff > 0:
+                by_x[x] += row[y]
+    total = sum(pa[x] * pb[height - x] * by_x[x] for x in range(height + 1))
+    return total - alpha_complete(height) * pa[height] * pb[height]
+
+
+def kernel_numerators(t: TripleParams, steps: list[int]) -> list[int]:
+    """N_0 .. N_max(steps) from a fresh kernel extended to each step in turn."""
+    kernel = density._Kernel(t)
+    for cutoff in steps:
+        kernel.extend(cutoff)
+    return kernel.numerators
+
+
 def clear_caches() -> None:
     """Forget every cached height, numerator and cell order."""
-    density._height_numerator.cache_clear()
+    density._kernel.cache_clear()
     components._cell_order.cache_clear()
     _f_arrays.cache_clear()
 
@@ -194,7 +245,7 @@ class TestDeltaSmall:
         if request_order == "deep first":
             f_table(t, 40)  # extends the shared order far above every cutoff
         elif request_order == "deeper":
-            components.sorted_cells(t, 120)  # each walk stops at (0, d), far inside the order
+            components.sorted_cells(t, 120)  # the bottom walk then runs inside a far longer order
         for d in sorted(cutoffs, reverse=request_order == "falling"):
             assert delta_small(t, d) == cold[d], d
 
@@ -202,6 +253,84 @@ class TestDeltaSmall:
         _f_arrays.cache_clear()
         approximate_density(T235, eps=Fraction(1, 10**40))
         assert _f_arrays.cache_info().currsize == 0
+
+
+class TestTwoWalkKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(triple=st.sampled_from(KERNEL_TRIPLES), height=st.integers(0, 40))
+    def test_equals_sign_walk(self, triple, height):
+        t = TripleParams(*triple)
+        assert kernel_numerators(t, [height])[height] == sign_walk_numerator(t, height)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        triple=st.sampled_from(KERNEL_TRIPLES),
+        prefix=st.sampled_from([0, 1, 2, 5]),
+        cutoff=st.integers(0, 40),
+    )
+    def test_extending_one_height_at_a_time_equals_one_call(self, triple, prefix, cutoff):
+        t = TripleParams(*triple)
+        at_once = kernel_numerators(t, [cutoff])
+        assert kernel_numerators(t, list(range(cutoff + 1))) == at_once
+        assert kernel_numerators(t, [prefix, cutoff])[: cutoff + 1] == at_once
+
+    def test_deep_heights_equal_sign_walk(self):
+        numerators = kernel_numerators(T235, [147])
+        assert all(numerators[p] == sign_walk_numerator(T235, p) for p in range(0, 148, 7))
+
+
+def in_bottom(t: TripleParams, p: int, x: int, y: int) -> bool:
+    return t.b**x * t.c**y * t.a ** (p + 1 - x - y) < t.b ** (p + 1)
+
+
+def in_top(t: TripleParams, p: int, x: int, j: int) -> bool:
+    return t.c ** (x + j) * t.b ** (p + 1) <= t.c**p * t.a ** (j + 1) * t.b**x
+
+
+class TestWalksAndRegions:
+    TRIPLES = [(2, 3, 5), (3, 4, 5), (2, 7, 9), (3, 7, 8), (2, 5, 9), (5, 6, 7), (4, 9, 25)]
+    HEIGHT = 30
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_top_walk_orders_by_integer_key(self, triple):
+        t = TripleParams(*triple)
+        a, b, c = t.a, t.b, t.c
+        order = CellOrder((a * b, a * c, b * c))
+        for height in range(self.HEIGHT + 1):
+            order.extend(height)
+            points = [(x, j) for x in range(height + 1) for j in range(height + 1 - x)]
+            points.sort(key=lambda q: c ** (q[0] + q[1]) * a ** (height - q[1]) * b ** (height - q[0]))
+            assert order.cells == points, height
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_each_cell_in_exactly_one_region(self, triple):
+        t = TripleParams(*triple)
+        for p in range(self.HEIGHT + 1):
+            for x in range(p + 1):
+                for y in range(p + 1 - x):
+                    assert in_bottom(t, p, x, y) != in_top(t, p, x, p - x - y), (p, x, y)
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_regions_are_prefixes_of_their_walks(self, triple):
+        """The bottom region heads the shared order, the top region the top walk.
+
+        Both walks are extended far past the height, so that the claim
+        covers the points that are not cells of height p.
+        """
+        t = TripleParams(*triple)
+        a, b, c = t.a, t.b, t.c
+        bottom = components.cell_order(t, self.HEIGHT + 5).cells
+        top = CellOrder((a * b, a * c, b * c))
+        top.extend(self.HEIGHT + 5)
+        for p in range(self.HEIGHT + 1):
+            size = sum(1 for x in range(p + 1) for y in range(p + 1 - x) if in_bottom(t, p, x, y))
+            assert all(x + y <= p and in_bottom(t, p, x, y) for x, y in bottom[:size]), p
+            x, y = bottom[size]
+            assert x + y > p or not in_bottom(t, p, x, y), p
+            rest = (p + 1) * (p + 2) // 2 - size
+            assert all(x + j <= p and in_top(t, p, x, j) for x, j in top.cells[:rest]), p
+            x, j = top.cells[rest]
+            assert x + j > p or not in_top(t, p, x, j), p
 
 
 class TestTailBound:
