@@ -107,7 +107,8 @@ class _Kernel:
     the cell order of (ab, ac, bc) over the points (x, j).  Each keeps a
     pointer to its first cell that has not yet entered its region, and the
     parity count before it.  A top cell whose rising range starts or ends
-    above the height it enters at is filed under that height.
+    above the height it enters at is filed in events under that height,
+    with the sign its term takes there.
     """
 
     def __init__(self, params: TripleParams) -> None:
@@ -115,22 +116,20 @@ class _Kernel:
         self._params = params
         self._top = CellOrder((a * b, a * c, b * c))
         self.numerators: list[int] = []
-        self._bottom = self._bottom_diff = self._bottom_sum = 0
+        self._bottom_next = self._bottom_diff = self._bottom_sum = 0
         self._top_next = self._top_diff = self._top_sum = 0
-        self._starts: dict[int, list[tuple[int, int]]] = {}
-        self._stops: dict[int, list[tuple[int, int]]] = {}
+        self._events: dict[int, list[tuple[int, int, int]]] = {}  # height -> (x, j, +-1)
 
     def extend(self, cutoff: int) -> None:
         if cutoff < len(self.numerators):
             return
         a, b, c = self._params.a, self._params.b, self._params.c
         order = cell_order(self._params, cutoff)
-        bottom, (pa, pb, pc) = order.cells, order.powers
-        top = self._top
-        top.extend(cutoff)
-        i, diff, bottom_sum = self._bottom, self._bottom_diff, self._bottom_sum
+        self._top.extend(cutoff)
+        bottom, top, (pa, pb, pc) = order.cells, self._top.cells, order.powers
+        i, diff, bottom_sum = self._bottom_next, self._bottom_diff, self._bottom_sum
         k, u, top_sum = self._top_next, self._top_diff, self._top_sum
-        starts, stops = self._starts, self._stops
+        events = self._events
         for p in range(len(self.numerators), cutoff + 1):
             bottom_sum *= b * c
             limit = pb[p] * b  # a cell is in the bottom region iff a * value < b**(p+1)
@@ -140,40 +139,32 @@ class _Kernel:
                 if s > p or pa[p - s] * pb[x] * pc[y] * a >= limit:
                     break
                 i += 1
-                if s & 1:
-                    diff -= 1
-                    if diff < 0:
-                        bottom_sum += pa[s] * pb[p - x] * pc[p - y]
-                else:
-                    diff += 1
-                    if diff > 0:
-                        bottom_sum += pa[s] * pb[p - x] * pc[p - y]
+                sign = 1 - 2 * (s & 1)  # +1 for even x + y
+                diff += sign
+                if diff * sign > 0:
+                    bottom_sum += pa[s] * pb[p - x] * pc[p - y]
             top_sum *= a * b
-            for x, j in starts.pop(p, ()):
-                top_sum += pa[p - j] * pb[p - x] * pc[x + j]
-            for x, j in stops.pop(p, ()):
-                top_sum -= pa[p - j] * pb[p - x] * pc[x + j]
+            for x, j, sign in events.pop(p, ()):
+                top_sum += sign * pa[p - j] * pb[p - x] * pc[x + j]
             scale = pc[p] * a  # top region iff c**(x+j) * b**(p+1) <= c**p * a**(j+1) * b**x
-            cells = top.cells
-            while k < len(cells):
-                x, j = cells[k]
+            while k < len(top):
+                x, j = top[k]
                 if pc[x + j] * pb[p] * b > scale * pa[j] * pb[x]:
                     break
                 k += 1
-                if j & 1:
-                    u -= 1
-                    last = 2 * u - 1  # 2u - 3 for the count u before this cell
-                    if p <= last:
+                if j & 1:  # rises while p <= 2u - 3
+                    if p <= 2 * u - 3:
                         top_sum += pa[p - j] * pb[p - x] * pc[x + j]
-                        stops.setdefault(last + 1, []).append((x, j))
-                else:
+                        events.setdefault(2 * u - 2, []).append((x, j, -1))
+                    u -= 1
+                else:  # rises once p >= 2u
                     if p >= 2 * u:
                         top_sum += pa[p - j] * pb[p - x] * pc[x + j]
                     else:
-                        starts.setdefault(2 * u, []).append((x, j))
+                        events.setdefault(2 * u, []).append((x, j, 1))
                     u += 1
             self.numerators.append(bottom_sum + top_sum - alpha_complete(p) * pa[p] * pb[p])
-        self._bottom, self._bottom_diff, self._bottom_sum = i, diff, bottom_sum
+        self._bottom_next, self._bottom_diff, self._bottom_sum = i, diff, bottom_sum
         self._top_next, self._top_diff, self._top_sum = k, u, top_sum
 
 
