@@ -84,8 +84,8 @@ MAX_CONVERGENCE_DIGITS = 12
 # The kernel makes O(cutoff**2) big-int additions, but CellOrder.extend copies
 # each walk's whole order once per diagonal, O(cutoff**3) list copying, and takes
 # about three quarters of the time.  triple-density --a 2 --b 3 --c 5 --d 500
-# takes 1.7 s and peaks at 42 MB on a 2-core Xeon with Python 3.11 (--d 600:
-# 2.9 s, over the 2.5 s budget).
+# takes 1.8 s and peaks at 40 MB on a 2-core Xeon with Python 3.11; 550 takes
+# 2.1-2.4 s, too close to the 2.5 s budget, and 600 takes 2.9 s.
 MAX_CUTOFF = 500
 
 
