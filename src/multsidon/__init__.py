@@ -3,8 +3,8 @@
 Two solved regimes:
 
 * pairs 1 <= a < b: an explicit maximum-cardinality set inside [n] for
-  every n, exact cardinality brackets and the exact maximum density
-  b/(b + gcd(a, b));
+  every n, its optimality certificate from the path decomposition of [n],
+  and the exact maximum density b/(b + gcd(a, b));
 * pairwise coprime triples 1 < a < b < c with the condition that
   a*x = b*y and a*x = c*y have no solutions in the set: a certified
   rational interval of any requested width around the maximum density.
@@ -28,12 +28,10 @@ from .density import (
     ConvergenceEstimate,
     DensityInterval,
     approximate_density,
-    beta,
     choose_cutoff,
     convergence_estimate,
     delta_complete,
     delta_small,
-    exact_tail_within_simplified,
     tail_bound,
 )
 from .oracle import (
@@ -41,19 +39,16 @@ from .oracle import (
     ComponentSummary,
     FiniteGraphReport,
     VerificationError,
-    build_gn,
     empirical_density,
     exact_alpha_exhaustive,
     exact_alpha_matching,
     finite_graph_report,
-    staircase_lemma_check,
 )
 from .pair_sidon import (
     ExtremalPairSet,
     PairParams,
     PathDecomposition,
     build_path_decomposition,
-    cardinality_bounds,
     construct_extremal_set,
     is_pair_multiplicative,
     pair_density,

@@ -20,10 +20,11 @@ value, grown one diagonal x + y = h at a time with integer arithmetic only.
 sorted_cells is that order cut to a height and valued there.  Every
 truncation to values <= r is a prefix of it and is downward closed,
 because a step back in x or y divides the value by b/a or c/a
-(check_staircase tests this).  So the running size of the larger parity
-class along the list is the truncated independence number f(p, r) that
-f_table and f_value read.  The density kernel walks the same order up
-the bottom of every height, and a CellOrder of (ab, ac, bc) down its top.
+(tests/test_components.py checks this).  So the running size of the
+larger parity class along the list is the truncated independence number
+f(p, r) that f_table and f_value read.  The density kernel walks the same
+order up the bottom of every height, and a CellOrder of (ab, ac, bc) down
+its top.
 """
 
 from __future__ import annotations
@@ -56,15 +57,6 @@ class TripleParams:
 def is_admissible(params: TripleParams, q: int) -> bool:
     """True iff q >= 1 is divisible by none of a, b, c (a valid multiplier)."""
     return q >= 1 and q % params.a != 0 and q % params.b != 0 and q % params.c != 0
-
-
-def check_staircase(active: set[Coord]) -> None:
-    """Raise ValueError unless the cells are downward closed in the quarter grid."""
-    for x, y in active:
-        if x > 0 and (x - 1, y) not in active:
-            raise ValueError(f"staircase property violated at ({x}, {y})")
-        if y > 0 and (x, y - 1) not in active:
-            raise ValueError(f"staircase property violated at ({x}, {y})")
 
 
 def alpha_complete(height: int) -> int:

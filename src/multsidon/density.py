@@ -81,17 +81,15 @@ from .components import CellOrder, TripleParams, admissible_density, alpha_compl
 from .rational import truncated_decimal
 
 MAX_CONVERGENCE_DIGITS = 12
+# A single-step comparison stops too early when the limit sits just past a
+# digit boundary; four steps reproduce the reference table at four digits.
+STABLE_STEPS = 4
 # The kernel makes O(cutoff**2) big-int additions, but CellOrder.extend copies
 # each walk's whole order once per diagonal, O(cutoff**3) list copying, and takes
 # about three quarters of the time.  triple-density --a 2 --b 3 --c 5 --d 500
 # takes 1.8 s and peaks at 40 MB on a 2-core Xeon with Python 3.11; 550 takes
 # 2.1-2.4 s, too close to the 2.5 s budget, and 600 takes 2.9 s.
 MAX_CUTOFF = 500
-
-
-def beta(params: TripleParams) -> Fraction:
-    """The tail constant (b-1)(c-1)/(bc), strictly between 0 and 1."""
-    return Fraction((params.b - 1) * (params.c - 1), params.b * params.c)
 
 
 def delta_complete(params: TripleParams) -> Fraction:
@@ -204,16 +202,6 @@ def tail_bound(params: TripleParams, cutoff: int) -> Fraction:
     return admissible_density(params) * Fraction(poly * a, a**d * (a - 1) ** 3)
 
 
-def exact_tail_within_simplified(params: TripleParams, cutoff: int) -> bool:
-    """Check tail_bound(d) <= beta * a**(-d/2) without leaving the rationals.
-
-    Both sides are positive, so the inequality is equivalent to its square:
-    tail(d)^2 * a^d <= beta^2.
-    """
-    t = tail_bound(params, cutoff)
-    return t * t * params.a**cutoff <= beta(params) ** 2
-
-
 def choose_cutoff(params: TripleParams, eps: Fraction) -> int:
     """Smallest cutoff whose tail bound is at most eps.
 
@@ -316,23 +304,17 @@ class ConvergenceEstimate:
     decimal: str
 
 
-def convergence_estimate(
-    params: TripleParams, digits: int, stable_steps: int = 4
-) -> ConvergenceEstimate:
+def convergence_estimate(params: TripleParams, digits: int) -> ConvergenceEstimate:
     """Raise the cutoff until the printed decimal stops moving.
 
     Increments the cutoff and compares the truncated rendering of
     delta_complete + delta_small across consecutive cutoffs, reporting the
-    value once it has survived `stable_steps` increments unchanged.  A
-    single-step comparison stops too early when the limit sits just past a
-    digit boundary; four steps reproduce the reference table at four
-    digits.  This mode carries no certificate; use approximate_density for
-    certified output.
+    value once it has survived STABLE_STEPS increments unchanged.  This
+    mode carries no certificate; use approximate_density for certified
+    output.
     """
     if not 1 <= digits <= MAX_CONVERGENCE_DIGITS:
         raise ValueError(f"digits must be in [1, {MAX_CONVERGENCE_DIGITS}]")
-    if stable_steps < 1:
-        raise ValueError("stable_steps must be positive")
     dc = delta_complete(params)
     previous = truncated_decimal(dc, digits)
     value = dc
@@ -341,7 +323,7 @@ def convergence_estimate(
         value = dc + delta_small(params, d)
         current = truncated_decimal(value, digits)
         streak = streak + 1 if current == previous else 0
-        if streak >= stable_steps:
+        if streak >= STABLE_STEPS:
             return ConvergenceEstimate(
                 params=params, digits=digits, cutoff=d, value=value, decimal=current
             )

@@ -13,7 +13,6 @@ components one by one only when n <= verify_upto.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +24,6 @@ from .components import (
     TripleParams,
     admissible_count,
     cell_count,
-    check_staircase,
     classify_component,
     f_table,
     is_admissible,
@@ -33,7 +31,6 @@ from .components import (
     sorted_cells,
 )
 
-DEFAULT_VERIFY_LIMIT = 5000
 EXHAUSTIVE_LIMIT = 24
 
 
@@ -93,11 +90,6 @@ def component_instance(params: TripleParams, height: int, q: int, n: int) -> Com
         cells=tuple((x, y) for _, x, y in cells),
         values=tuple(v * q for v, _, _ in cells),
     )
-
-
-def build_gn(params: TripleParams, n: int) -> list[ComponentInstance]:
-    """Explicit decomposition of [n] into truncated components."""
-    return [component_instance(params, p, q, n) for p, q in component_ids(params, n)]
 
 
 def grid_cell_edges(cells: Sequence[Coord]) -> list[tuple[int, int]]:
@@ -226,9 +218,7 @@ def finite_graph_report(
     )
 
 
-def empirical_density(
-    params: TripleParams, n: int, verify_upto: int = DEFAULT_VERIFY_LIMIT
-) -> Fraction:
+def empirical_density(params: TripleParams, n: int, verify_upto: int) -> Fraction:
     """alpha(G_n) / n by a floor-block sum, in O(sqrt(n) * log n).
 
     Component (p, q) contributes f(p, floor(n / q)), and f(p, .) steps up by
@@ -262,17 +252,6 @@ def empirical_density(
     return Fraction(total, n)
 
 
-def parity_independent_set(params: TripleParams, n: int) -> tuple[int, ...]:
-    """A maximum independent set in G_n: best parity class per component."""
-    chosen = []
-    for p, q in component_ids(params, n):
-        inst = component_instance(params, p, q, n)
-        even = [v for v, (x, y) in zip(inst.values, inst.cells) if (x + y) % 2 == 0]
-        odd = [v for v, (x, y) in zip(inst.values, inst.cells) if (x + y) % 2 == 1]
-        chosen.extend(even if len(even) >= len(odd) else odd)
-    return tuple(sorted(chosen))
-
-
 def general_multiplicative_witness(
     members: Iterable[int], left: Iterable[int], right: Iterable[int]
 ) -> tuple[int, int, int, int] | None:
@@ -297,35 +276,3 @@ def general_multiplicative_witness(
                 if (a * x) % b == 0 and (a * x) // b in values:
                     return a, b, x, (a * x) // b
     return None
-
-
-def staircase_lemma_check(cells: Sequence[Coord]) -> bool:
-    """Does the best parity class match the exhaustive optimum on a staircase?
-
-    The cells must form a downward-closed subset of the quarter grid with
-    at most 24 entries; the graph is the grid adjacency on those cells.
-    """
-    cell_set = set(cells)
-    if len(cell_set) > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"staircase check limited to {EXHAUSTIVE_LIMIT} cells")
-    check_staircase(cell_set)
-    ordered = sorted(cell_set)
-    even = sum(1 for x, y in ordered if (x + y) % 2 == 0)
-    best_parity = max(even, len(ordered) - even)
-    exhaustive = exact_alpha_exhaustive(len(ordered), grid_cell_edges(ordered))
-    return best_parity == exhaustive
-
-
-def random_staircase(rng: random.Random, max_cells: int) -> list[Coord]:
-    """Random downward-closed cell set via non-increasing column heights."""
-    if max_cells < 1:
-        raise ValueError("max_cells must be positive")
-    cells: list[Coord] = []
-    height = rng.randint(1, max_cells)
-    x = 0
-    while height > 0 and len(cells) < max_cells:
-        height = min(height, max_cells - len(cells))
-        cells.extend((x, y) for y in range(height))
-        x += 1
-        height = rng.randint(0, height)
-    return cells

@@ -248,31 +248,3 @@ def path_alpha(decomposition: PathDecomposition) -> int:
 def pair_density(params: PairParams) -> Fraction:
     """Maximum density of an {a,b}-multiplicative set: b/(b+g)."""
     return Fraction(params.b, params.b + params.g)
-
-
-def floor_log(base: int, n: int) -> int:
-    """Largest k >= 0 with base**k <= n, by integer exponent search."""
-    if base < 2 or n < 1:
-        raise ValueError("need base >= 2 and n >= 1")
-    k = 0
-    power = base
-    while power <= n:
-        k += 1
-        power *= base
-    return k
-
-
-def cardinality_bounds(params: PairParams, n: int) -> tuple[Fraction, Fraction]:
-    """Exact rational bracket for the size of the extremal set in [n].
-
-    With b = b_red and k the integer floor of log_b(n):
-    b*n/(b+1) - (k+1)/2  <=  |T_n|  <=  1 + k/2 + b*n/(b+1).
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    b = params.b_red
-    k = floor_log(b, n)
-    main = Fraction(b * n, b + 1)
-    lower = main - Fraction(k + 1, 2)
-    upper = 1 + Fraction(k, 2) + main
-    return lower, upper

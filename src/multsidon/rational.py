@@ -16,11 +16,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational; also accepts plain and scientific decimals."""
-    return Fraction(text.strip())
-
-
 def truncated_decimal(x: Fraction, digits: int) -> str:
     """Decimal expansion of x >= 0 cut after `digits` fractional digits."""
     if x < 0:

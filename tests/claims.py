@@ -1,0 +1,127 @@
+"""Claims of the paper that only the tests check, and the helpers they need.
+
+The library computes the extremal pair set, the pair density and the
+certified triple-density interval.  The statements here back those results
+without being part of them: the explicit decomposition of [n], a maximum
+independent set read off it, the staircase lemma on random staircases, the
+simplified tail bound and the pair-set cardinality bracket.  The module is
+named so that pytest does not collect it; test modules import from it.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Sequence
+
+from multsidon.components import Coord, TripleParams
+from multsidon.density import tail_bound
+from multsidon.oracle import (
+    EXHAUSTIVE_LIMIT,
+    ComponentInstance,
+    component_ids,
+    component_instance,
+    exact_alpha_exhaustive,
+    grid_cell_edges,
+)
+from multsidon.pair_sidon import PairParams
+
+
+def build_gn(params: TripleParams, n: int) -> list[ComponentInstance]:
+    """Explicit decomposition of [n] into truncated components."""
+    return [component_instance(params, p, q, n) for p, q in component_ids(params, n)]
+
+
+def parity_independent_set(params: TripleParams, n: int) -> tuple[int, ...]:
+    """A maximum independent set in G_n: best parity class per component."""
+    chosen = []
+    for p, q in component_ids(params, n):
+        inst = component_instance(params, p, q, n)
+        even = [v for v, (x, y) in zip(inst.values, inst.cells) if (x + y) % 2 == 0]
+        odd = [v for v, (x, y) in zip(inst.values, inst.cells) if (x + y) % 2 == 1]
+        chosen.extend(even if len(even) >= len(odd) else odd)
+    return tuple(sorted(chosen))
+
+
+def check_staircase(active: set[Coord]) -> None:
+    """Raise ValueError unless the cells are downward closed in the quarter grid."""
+    for x, y in active:
+        if x > 0 and (x - 1, y) not in active:
+            raise ValueError(f"staircase property violated at ({x}, {y})")
+        if y > 0 and (x, y - 1) not in active:
+            raise ValueError(f"staircase property violated at ({x}, {y})")
+
+
+def staircase_lemma_check(cells: Sequence[Coord]) -> bool:
+    """Does the best parity class match the exhaustive optimum on a staircase?
+
+    The cells must form a downward-closed subset of the quarter grid with
+    at most 24 entries; the graph is the grid adjacency on those cells.
+    """
+    cell_set = set(cells)
+    if len(cell_set) > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"staircase check limited to {EXHAUSTIVE_LIMIT} cells")
+    check_staircase(cell_set)
+    ordered = sorted(cell_set)
+    even = sum(1 for x, y in ordered if (x + y) % 2 == 0)
+    best_parity = max(even, len(ordered) - even)
+    exhaustive = exact_alpha_exhaustive(len(ordered), grid_cell_edges(ordered))
+    return best_parity == exhaustive
+
+
+def random_staircase(rng: random.Random, max_cells: int) -> list[Coord]:
+    """Random downward-closed cell set via non-increasing column heights."""
+    if max_cells < 1:
+        raise ValueError("max_cells must be positive")
+    cells: list[Coord] = []
+    height = rng.randint(1, max_cells)
+    x = 0
+    while height > 0 and len(cells) < max_cells:
+        height = min(height, max_cells - len(cells))
+        cells.extend((x, y) for y in range(height))
+        x += 1
+        height = rng.randint(0, height)
+    return cells
+
+
+def beta(params: TripleParams) -> Fraction:
+    """The tail constant (b-1)(c-1)/(bc), strictly between 0 and 1."""
+    return Fraction((params.b - 1) * (params.c - 1), params.b * params.c)
+
+
+def exact_tail_within_simplified(params: TripleParams, cutoff: int) -> bool:
+    """Check tail_bound(d) <= beta * a**(-d/2) without leaving the rationals.
+
+    Both sides are positive, so the inequality is equivalent to its square:
+    tail(d)^2 * a^d <= beta^2.
+    """
+    t = tail_bound(params, cutoff)
+    return t * t * params.a**cutoff <= beta(params) ** 2
+
+
+def floor_log(base: int, n: int) -> int:
+    """Largest k >= 0 with base**k <= n, by integer exponent search."""
+    if base < 2 or n < 1:
+        raise ValueError("need base >= 2 and n >= 1")
+    k = 0
+    power = base
+    while power <= n:
+        k += 1
+        power *= base
+    return k
+
+
+def cardinality_bounds(params: PairParams, n: int) -> tuple[Fraction, Fraction]:
+    """Exact rational bracket for the size of the extremal set in [n].
+
+    With b = b_red and k the integer floor of log_b(n):
+    b*n/(b+1) - (k+1)/2  <=  |T_n|  <=  1 + k/2 + b*n/(b+1).
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    b = params.b_red
+    k = floor_log(b, n)
+    main = Fraction(b * n, b + 1)
+    lower = main - Fraction(k + 1, 2)
+    upper = 1 + Fraction(k, 2) + main
+    return lower, upper

@@ -29,20 +29,17 @@ from multsidon import (
     delta_complete,
     delta_small,
     empirical_density,
-    exact_tail_within_simplified,
     f_value,
     finite_graph_report,
     is_pair_multiplicative,
     path_alpha,
     reduce_pair,
-    staircase_lemma_check,
     tail_bound,
 )
 from multsidon.cli import main
 from multsidon.components import admissible_density
-from multsidon.oracle import random_staircase
-from multsidon.pair_sidon import floor_log
-from multsidon.rational import parse_rational
+
+from claims import exact_tail_within_simplified, floor_log, random_staircase, staircase_lemma_check
 
 TABLE = {
     (2, 3, 5): Fraction("0.7292"),
@@ -132,8 +129,8 @@ def test_criterion_1_table_reproduction():
             "triple-density", "--a", str(a), "--b", str(b), "--c", str(c),
             "--eps", "5e-5",
         )
-        lower = parse_rational(certified["lower"])
-        upper = parse_rational(certified["upper"])
+        lower = Fraction(certified["lower"])
+        upper = Fraction(certified["upper"])
         window_end = table_value + Fraction(1, 10000)
         if upper < table_value or lower >= window_end:
             failures.append(

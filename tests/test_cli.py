@@ -25,7 +25,7 @@ from multsidon.cli import (
     _member_text,
     main,
 )
-from multsidon.rational import format_rational, parse_rational, truncated_decimal
+from multsidon.rational import format_rational, truncated_decimal
 
 
 def run_cli(capsys, *argv):
@@ -47,7 +47,7 @@ class TestRationalHelpers:
 
     def test_parse_roundtrip(self):
         for value in (Fraction(2, 3), Fraction(125, 288), Fraction(7)):
-            assert parse_rational(format_rational(value)) == value
+            assert Fraction(format_rational(value)) == value
 
     def test_truncation(self):
         assert truncated_decimal(Fraction(2, 3), 4) == "0.6666"
@@ -65,7 +65,7 @@ class TestPairDensity:
     def test_two_three(self, capsys):
         report = run_json(capsys, "pair-density", "--a", "2", "--b", "3")
         assert report["density"] == "3/4"
-        assert parse_rational(report["density"]) == Fraction(3, 4)
+        assert Fraction(report["density"]) == Fraction(3, 4)
 
     def test_equal_pair_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "pair-density", "--a", "3", "--b", "3")
@@ -201,11 +201,11 @@ class TestTripleDensity:
             capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5",
             "--eps", "5e-5",
         )
-        lower = parse_rational(report["lower"])
-        upper = parse_rational(report["upper"])
+        lower = Fraction(report["lower"])
+        upper = Fraction(report["upper"])
         assert lower <= upper <= lower + Fraction(1, 20000)
-        assert parse_rational(report["delta_complete"]) == Fraction(125, 288)
-        assert upper - lower == parse_rational(report["tail_bound"])
+        assert Fraction(report["delta_complete"]) == Fraction(125, 288)
+        assert upper - lower == Fraction(report["tail_bound"])
 
     def test_converge_mode(self, capsys):
         report = run_json(
@@ -337,8 +337,8 @@ class TestTripleTable:
         assert by_triple[(3, 5, 8)]["estimate"] == "0.8212"
         assert by_triple[(2, 5, 9)]["estimate"] == "0.8187"
         for row in rows:
-            lower = parse_rational(row["lower"])
-            upper = parse_rational(row["upper"])
+            lower = Fraction(row["lower"])
+            upper = Fraction(row["upper"])
             assert upper - lower <= Fraction(1, 20000)
 
     def test_byte_identical_reruns(self, capsys):
@@ -361,7 +361,7 @@ class TestEmpirical:
         )
         assert report["verified"] is True
         assert report["alpha"] == 728
-        assert parse_rational(report["ratio"]) == Fraction(728, 1000)
+        assert Fraction(report["ratio"]) == Fraction(728, 1000)
 
     def test_verified_and_block_sum_agree(self, capsys):
         argv = ("empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "3000")
@@ -377,7 +377,7 @@ class TestEmpirical:
         )
         n = 10**9
         assert report["n"] == n
-        assert report["alpha"] == parse_rational(report["ratio"]) * n
+        assert report["alpha"] == Fraction(report["ratio"]) * n
         assert 0 < report["alpha"] <= n
 
     @pytest.mark.parametrize(
@@ -482,7 +482,7 @@ class TestJsonRoundTrip:
         )
         for key in ("eps", "delta_complete", "delta_small", "tail_bound",
                     "lower", "upper"):
-            value = parse_rational(report[key])
+            value = Fraction(report[key])
             assert format_rational(value) == report[key]
 
 

@@ -18,8 +18,10 @@ from multsidon import (
     f_value,
     q_copy_alpha,
 )
-from multsidon.components import _cell_order, check_staircase, sorted_cells
+from multsidon.components import _cell_order, sorted_cells
 from multsidon.oracle import component_instance, grid_cell_edges
+
+from claims import check_staircase
 
 T235 = TripleParams(2, 3, 5)
 

@@ -13,18 +13,18 @@ from hypothesis import strategies as st
 from multsidon import (
     TripleParams,
     approximate_density,
-    beta,
     choose_cutoff,
     convergence_estimate,
     delta_complete,
     delta_small,
-    exact_tail_within_simplified,
     f_table,
     f_value,
     tail_bound,
 )
 from multsidon import components, density
 from multsidon.components import CellOrder, _f_arrays, admissible_density, alpha_complete
+
+from claims import beta, exact_tail_within_simplified
 
 TABLE_TRIPLES = [
     (2, 3, 5), (2, 3, 7), (2, 5, 7), (2, 5, 9), (2, 7, 9),

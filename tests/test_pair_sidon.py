@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from multsidon import (
     ExtremalPairSet,
     build_path_decomposition,
-    cardinality_bounds,
     construct_extremal_set,
     is_pair_multiplicative,
     pair_density,
     path_alpha,
     reduce_pair,
 )
-from multsidon.pair_sidon import floor_log
+
+from claims import cardinality_bounds, floor_log
 
 
 def brute_force_max_pair_set(a: int, b: int, n: int) -> int:
