@@ -12,7 +12,8 @@ memory, and empirical refuses n above MAX_EMPIRICAL_N, or above
 MAX_VERIFIED_N when n <= --verify-upto asks for the O(n) cross-check.  The
 triple commands refuse a cutoff above density.MAX_CUTOFF (500), and an
 --eps whose decimal exponent exceeds MAX_EPS_EXPONENT in magnitude, before
-the Fraction is built.
+the Fraction is built, and a cutoff whose rationals are too long to print.
+check-set refuses over MAX_SET_MEMBERS lines, or |A||B||set| over MAX_CHECK_WORK.
 
 Exit codes: 0 on success, 2 on invalid parameters, malformed input or a
 refused work size, 3 when an internal cross-check fails (which would
@@ -66,6 +67,10 @@ MAX_VERIFIED_N = 10**5
 # Fraction("1e-N") builds 10**N exactly, which takes about 10 s at N = 10**7.
 # 1e-100000 is refused in about 0.2 s, for a cutoff of 332229.
 MAX_EPS_EXPONENT = 100_000
+# Reading 10**6 lines of members takes about 1.0 s and peaks near 120 MB.
+MAX_SET_MEMBERS = 10**6
+# The witness search is O(|A| * |B| * |set|): 40 * 40 * 20,000 takes 2.2 s.
+MAX_CHECK_WORK = 3 * 10**7
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -373,6 +378,8 @@ def _read_set_file(path: str) -> set[int]:
     members = set()
     with open(path, "r", encoding="ascii") as handle:
         for lineno, line in enumerate(handle, start=1):
+            if lineno > MAX_SET_MEMBERS:
+                raise ValueError(f"{path} has more than {MAX_SET_MEMBERS} lines, one per member")
             text = line.strip()
             if not text:
                 continue
@@ -388,6 +395,9 @@ def _read_set_file(path: str) -> set[int]:
 
 def _cmd_check_set(args: argparse.Namespace) -> int:
     members = _read_set_file(args.set_file)
+    work = len(set(args.A)) * len(set(args.B)) * len(members)
+    if work > MAX_CHECK_WORK:
+        raise ValueError(f"|A| * |B| * |set| = {work} exceeds the limit of {MAX_CHECK_WORK}")
     witness = None
     if members:
         witness = general_multiplicative_witness(members, args.A, args.B)

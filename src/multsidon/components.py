@@ -13,18 +13,11 @@ coordinates at Manhattan distance one.  On any downward-closed region of
 the grid, one of the two chessboard colour classes (x + y even / odd) is a
 maximum independent set.
 
-A cell's value is a**p * (b/a)**x * (c/a)**y, so every height orders its
-cells the same way.  The one enumeration of the triangle is the shared
-cell order of each TripleParams (cell_order): all cells seen so far, by
-value, grown one diagonal x + y = h at a time with integer arithmetic only.
-sorted_cells is that order cut to a height and valued there.  Every
-truncation to values <= r is a prefix of it and is downward closed,
-because a step back in x or y divides the value by b/a or c/a
-(tests/test_components.py checks this).  So the running size of the
-larger parity class along the list is the truncated independence number
-f(p, r) that f_table and f_value read.  The density kernel walks the same
-order up the bottom of every height, and a CellOrder of (ab, ac, bc) down
-its top.
+A cell's value is a**p * (b/a)**x * (c/a)**y, so a step back in x or y
+divides it by b/a or c/a.  Hence every truncation to values <= r is
+downward closed and a prefix of sorted_cells, along which the running size
+of the larger parity class is the truncated independence number f(p, r)
+of f_table and f_value.  The density kernel reads row bands instead.
 """
 
 from __future__ import annotations
@@ -70,87 +63,23 @@ def alpha_complete(height: int) -> int:
     return (i + 1) ** 2
 
 
-class CellOrder:
-    """The cells (x, y) with x + y <= height, by value at any height.
-
-    The bases a < b < c need not be coprime, as long as no two cells share
-    a value.  powers holds their powers up to the height.  extend adds the
-    diagonals x + y = h one at a time and finds the index of each new cell
-    without comparing it to the old ones.  The shifts (x, y) ->
-    (x, y + 1) and (x, y) -> (x + 1, y) multiply every value by c/a and by
-    b/a, so they keep the order.  Hence:
-
-      * for x < h, the cells below (x, h - x) are the y-shifts of the cells
-        below (x, h - 1 - x), plus the h + 1 cells of the row y = 0, since
-        a**(h-i) * b**i <= b**h < b**x * c**(h-x).  Its index grows by h + 1;
-      * the cells below (h, 0) are the x-shifts of the cells below
-        (h - 1, 0), plus the cells (0, y) with c**y * a**(h-y) < b**h.  Their
-        count never falls as h grows, so it is kept and advanced.
-    """
-
-    def __init__(self, bases: tuple[int, int, int]) -> None:
-        self._bases = bases
-        self.powers: tuple[list[int], list[int], list[int]] = ([1], [1], [1])
-        self.cells: list[Coord] = [(0, 0)]
-        self.height = 0
-        self._diagonal = [0]  # index of (x, height - x) in cells, by x
-        self._column = 0  # cells (0, y) below (height, 0)
-
-    def extend(self, height: int) -> None:
-        pa, pb, pc = self.powers
-        while self.height < height:
-            h = self.height = self.height + 1
-            for powers, base in zip(self.powers, self._bases):
-                powers.append(powers[-1] * base)
-            while pc[self._column] * pa[h - self._column] < pb[h]:
-                self._column += 1
-            diagonal = [index + h + 1 for index in self._diagonal]
-            diagonal.append(self._diagonal[-1] + self._column)
-            # the new cells by value are (h, 0), (h - 1, 1), ..., (0, h)
-            merged, start = [], 0
-            for y in range(h + 1):
-                stop = diagonal[h - y] - y  # old cells below (h - y, y)
-                merged += self.cells[start:stop]
-                merged.append((h - y, y))
-                start = stop
-            merged += self.cells[start:]
-            self.cells, self._diagonal = merged, diagonal
-
-
-@lru_cache(maxsize=None)
-def _cell_order(params: TripleParams) -> CellOrder:
-    return CellOrder((params.a, params.b, params.c))
-
-
-def cell_order(params: TripleParams, height: int) -> CellOrder:
-    """The shared cell order of params, extended to at least the given height."""
-    order = _cell_order(params)
-    order.extend(height)
-    return order
-
-
 def sorted_cells(params: TripleParams, height: int) -> list[tuple[int, int, int]]:
-    """Cells (value, x, y) of the unit component of the given height, by value.
-
-    The cells of the shared order with x + y <= height, valued at that
-    height from its power tables.
-    """
-    order = cell_order(params, height)
-    pa, pb, pc = order.powers
-    return [(pa[height - x - y] * pb[x] * pc[y], x, y)
-            for x, y in order.cells if x + y <= height]
+    """Cells (value, x, y) of the unit component of the given height, by value."""
+    pa, pb, pc = ([base**i for i in range(height + 1)] for base in (params.a, params.b, params.c))
+    return sorted((pa[height - x - y] * pb[x] * pc[y], x, y)
+                  for x in range(height + 1) for y in range(height + 1 - x))
 
 
 @lru_cache(maxsize=None)
-def _f_arrays(params: TripleParams, height: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sorted unit-component values and running best parity-class size."""
-    values, plateaus = [], []
-    counts = [0, 0]
-    for value, x, y in sorted_cells(params, height):
+def _f_arrays(params: TripleParams,
+              height: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Coord, ...]]:
+    """Sorted unit-component values, running best parity-class size, and the cells."""
+    cells = sorted_cells(params, height)
+    counts, plateaus = [0, 0], []
+    for _, x, y in cells:
         counts[(x + y) % 2] += 1
-        values.append(value)
         plateaus.append(max(counts))
-    return tuple(values), tuple(plateaus)
+    return tuple(v for v, _, _ in cells), tuple(plateaus), tuple((x, y) for _, x, y in cells)
 
 
 def f_table(params: TripleParams, height: int) -> tuple[tuple[int, int], ...]:
@@ -162,13 +91,13 @@ def f_table(params: TripleParams, height: int) -> tuple[tuple[int, int], ...]:
     """
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
-    values, plateaus = _f_arrays(params, height)
+    values, plateaus, _ = _f_arrays(params, height)
     return tuple(zip(values, plateaus))
 
 
 def f_value(params: TripleParams, height: int, cap: int) -> int:
     """f(height, cap): truncated independence number by table lookup."""
-    values, plateaus = _f_arrays(params, height)
+    values, plateaus, _ = _f_arrays(params, height)
     k = bisect_right(values, cap)
     return plateaus[k - 1] if k else 0
 

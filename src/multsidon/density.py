@@ -22,73 +22,71 @@ Each 1/v_k = a^(x+y) b^(p-x) c^(p-y) / (abc)^p, so height p adds one integer
 numerator N_p, and delta_S(d) = K * sum_p N_p (abc)^(d-p) / (abc)^d is
 accumulated by Horner's rule into a single Fraction.
 
-N_p needs no sort, no division and no walk per height: all heights up to d
-together cost O(d^2) big-int additions.  Divided by a^p, the value of cell
-(x, y) is w = (b/a)^x (c/a)^y, which does not depend on p.  Along cells of
-rising value let diff = #even - #odd, by the parity of x + y, over the
-cells passed so far; f rises at a cell iff the cell moves diff away from 0,
-i.e. iff diff before it is 0 or has the cell's sign (+1 for x + y even).
-Cut the height-p triangle at the value b^(p+1)/a into two regions.
+N_p needs no division and no sort of the whole triangle: all heights up
+to d cost O(d^2) big-int products and sorts of at most p + 1 cells.  Along
+cells of rising value let diff = #even - #odd, by the parity of x + y,
+over the cells passed so far; f rises at a cell iff the cell moves diff
+away from 0, i.e. iff diff before it is 0 or has the cell's sign (+1 for
+x + y even).  Cut the height-p triangle at the value b^(p+1)/a into two
+regions, each read in row bands.  A region holds the points (x, r) of the
+quarter plane whose key k, free of p, lies below a threshold t_p (strictly
+or not) that grows by a factor s > 1 per height, where k(x, r) =
+s^x k(0, r) and k(0, r+1) > s k(0, r).  So a point enters at the least
+such p and stays, x heights after (0, r); the row starts rise strictly, so
+band p, the points entering at p, is (p - start[r], r), one per started
+row.  Its keys lie between t_(p-1) and t_p, above every earlier entrant:
+the bands in turn, each sorted, walk the plane by key, and the region of
+height p is that walk up to band p.
 
-Bottom: a * value < b^(p+1), i.e. b^x c^y a^(p+1-x-y) < b^(p+1), i.e.
-w < (b/a)^(p+1).  Since c > b, w >= (b/a)^(x+y), so every point of the
-quarter plane below that bound has x + y <= p and is a cell of height p.
-The bottom region is therefore a prefix of the one infinite walk of the
-quarter plane by w (components.cell_order), the diff before each of its
-cells is the same at every height, and a bottom cell rises at p iff it
-rises in that walk.  A cell enters the region at the least p with
-(b/a)^(p+1) > w and stays in it; w grows along the walk, so the entry
-heights do not decrease.  A rising cell adds a^(x+y) b^(p-x) c^(p-y) from
-its entry on, which grows by bc per height:
-    B_(p+1) = bc B_p + the terms of the rising cells entering at p + 1.
+Bottom: a * value < b^(p+1), i.e. w = (b/a)^x (c/a)^y < (b/a)^(p+1), with
+s = b/a < c/a.  Row y starts at the least p with c^y a^(p+1-y) < b^(p+1),
+and w(0, y) >= (b/a)^y gives rows[y] >= y, so band p holds cells of
+height p.  The diff before a bottom cell is the same at every height, and
+the cell rises at p iff it rises in the walk.  A rising cell adds
+a^(x+y) b^(p-x) c^(p-y) = (abc)^p / value, by which a band is sorted
+downward, and its term grows by bc per height:
+    B_(p+1) = bc B_p + the terms of the rising cells of band p + 1.
 
 Top: the other cells, c^(x+j) b^(p+1) <= c^p a^(j+1) b^x with
-j = p - x - y.  The value is a^j b^x c^(p-x-j), so descending value is
-ascending key (c/b)^x (c/a)^j, again free of p: the infinite walk of
-CellOrder over the bases (ab, ac, bc) in the points (x, j), whose values
-are distinct because a, b, c are coprime.  The top test reads
-key * b/a <= (c/b)^p; a point enters at the least such p and stays
-(c/b > 1), so the entry heights do not decrease along this walk either.
-Every point before a top cell in the walk is a cell of height p: a point
-with x + j = p + k, k >= 1, has y = -k and w <= (b/a)^(p+k) (a/c)^k
-< (b/a)^p, below every top cell.  So the cells above a top cell are the
-points before it.  Let u = #(j even) - #(j odd) over them.  Over the whole
-triangle #even - #odd is (-1)^p (floor(p/2) + 1), and x + y is even iff
-j = p mod 2, so the diff below the cell is
-(-1)^p (floor(p/2) + 1 - u - (-1)^j) and the cell's sign is (-1)^(p+j).
-The cell rises iff their product is >= 0: for even j iff p >= 2u, for odd
-j iff p <= 2u - 3.  Its term a^(p-j) b^(p-x) c^(x+j) grows by ab per height:
+j = p - x - y, i.e. key (c/b)^x (c/a)^j <= (c/b)^p a/b, with s = c/b < c/a;
+the value a^j b^x c^(p-x-j) falls as the key rises.  Row j starts at the
+least p with c^j b^(p+1) <= c^p a^(j+1); for j >= 1, (c/a)^j b/a > (c/b)^j
+gives tops[j] > j, so band p holds cells of height p.  A band is sorted by
+the term a^(p-j) b^(p-x) c^(x+j) = (ab)^p key, and the cells above a top
+cell are the points before it in the walk.  Let u = #(j even) - #(j odd)
+over them.  Over the whole triangle #even - #odd is (-1)^p (floor(p/2) + 1),
+and x + y is even iff j = p mod 2, so the diff below the cell is
+(-1)^p (floor(p/2) + 1 - u - (-1)^j) and its sign is (-1)^(p+j).  The cell
+rises iff their product is >= 0: for even j iff p >= 2u, for odd j iff
+p <= 2u - 3.  Its term grows by ab per height:
     T_(p+1) = ab T_p + the cells that start to rise at p + 1
               - the odd-j cells whose last rising height is p.
 
 Every cell of the triangle lies in exactly one region, so
     N_p = B_p + T_p - alpha_complete(p) (ab)^p.
-Each cell enters once and stops rising at most once.  The kernel of each
-TripleParams keeps a pointer into each walk, both sums and every finished
-N_p, so a larger cutoff computes only its new heights.  Growing the walks
-keeps the pointers valid: the cells added for heights above d have
-x + y > d, so w >= (b/a)^(d+1) (resp. x + j > d, so key >= (c/b)^(d+1)),
-and they land past every cell that enters at or below d.
+The kernel of each TripleParams keeps its power tables, both lists of row
+starts, the walk counters, both sums, the pending top events and every
+finished N_p, so a larger cutoff computes only its new heights.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .components import CellOrder, TripleParams, admissible_density, alpha_complete, cell_order
+from .components import TripleParams, admissible_density, alpha_complete
 from .rational import truncated_decimal
 
 MAX_CONVERGENCE_DIGITS = 12
 # A single-step comparison stops too early when the limit sits just past a
 # digit boundary; four steps reproduce the reference table at four digits.
 STABLE_STEPS = 4
-# The kernel makes O(cutoff**2) big-int additions, but CellOrder.extend copies
-# each walk's whole order once per diagonal, O(cutoff**3) list copying, and takes
-# about three quarters of the time.  triple-density --a 2 --b 3 --c 5 --d 500
-# takes 1.8 s and peaks at 40 MB on a 2-core Xeon with Python 3.11; 550 takes
-# 2.1-2.4 s, too close to the 2.5 s budget, and 600 takes 2.9 s.
+# The kernel makes O(cutoff**2) big-int products: --d 500 takes 0.2 s on (2,3,5)
+# and 0.7 s on (2,3,1000003), on a 2-core Xeon with Python 3.11.  500 keeps the
+# same inputs accepted; _check_printable bounds the size of the numbers.
 MAX_CUTOFF = 500
 
 
@@ -101,69 +99,63 @@ def delta_complete(params: TripleParams) -> Fraction:
 class _Kernel:
     """N_p of every height up to the largest cutoff asked, for one params.
 
-    The bottom walk is the shared cell order of params; the top walk is
-    the cell order of (ab, ac, bc) over the points (x, j).  Each keeps a
-    pointer to its first cell that has not yet entered its region, and the
-    parity count before it.  A top cell whose rising range starts or ends
-    above the height it enters at is filed in events under that height,
-    with the sign its term takes there.
+    rows and tops hold the heights at which the bottom and top rows start.
+    A top cell whose rising range starts or ends above the height it enters
+    at is filed in events under that height, with the sign its term takes.
     """
 
     def __init__(self, params: TripleParams) -> None:
-        a, b, c = params.a, params.b, params.c
         self._params = params
-        self._top = CellOrder((a * b, a * c, b * c))
+        self._powers: tuple[list[int], list[int], list[int]] = ([1], [1], [1])
+        self._rows: list[int] = []
+        self._tops: list[int] = []
         self.numerators: list[int] = []
-        self._bottom_next = self._bottom_diff = self._bottom_sum = 0
-        self._top_next = self._top_diff = self._top_sum = 0
+        self._diff = self._bottom_sum = self._u = self._top_sum = 0
         self._events: dict[int, list[tuple[int, int, int]]] = {}  # height -> (x, j, +-1)
 
     def extend(self, cutoff: int) -> None:
-        if cutoff < len(self.numerators):
-            return
         a, b, c = self._params.a, self._params.b, self._params.c
-        order = cell_order(self._params, cutoff)
-        self._top.extend(cutoff)
-        bottom, top, (pa, pb, pc) = order.cells, self._top.cells, order.powers
-        i, diff, bottom_sum = self._bottom_next, self._bottom_diff, self._bottom_sum
-        k, u, top_sum = self._top_next, self._top_diff, self._top_sum
-        events = self._events
+        pa, pb, pc = self._powers
+        for powers, base in zip(self._powers, (a, b, c)):
+            while len(powers) < cutoff + 2:
+                powers.append(powers[-1] * base)
+        rows, tops, events = self._rows, self._tops, self._events
+        diff, bottom_sum, u, top_sum = self._diff, self._bottom_sum, self._u, self._top_sum
         for p in range(len(self.numerators), cutoff + 1):
+            y = len(rows)
+            if pc[y] * pa[p + 1 - y] < pb[p + 1]:
+                rows.append(p)
             bottom_sum *= b * c
-            limit = pb[p] * b  # a cell is in the bottom region iff a * value < b**(p+1)
-            while i < len(bottom):
-                x, y = bottom[i]
-                s = x + y
-                if s > p or pa[p - s] * pb[x] * pc[y] * a >= limit:
-                    break
-                i += 1
-                sign = 1 - 2 * (s & 1)  # +1 for even x + y
+            # ascending value is descending term (abc)**p / value
+            band = sorted(((pa[x + y] * pb[p - x] * pc[p - y], x, y)
+                           for y, x in enumerate(p - start for start in rows)), reverse=True)
+            for term, x, y in band:
+                sign = 1 - 2 * ((x + y) & 1)  # +1 for even x + y
                 diff += sign
                 if diff * sign > 0:
-                    bottom_sum += pa[s] * pb[p - x] * pc[p - y]
+                    bottom_sum += term
+            j = len(tops)
+            if pc[j] * pb[p + 1] <= pc[p] * pa[j + 1]:
+                tops.append(p)
             top_sum *= a * b
             for x, j, sign in events.pop(p, ()):
                 top_sum += sign * pa[p - j] * pb[p - x] * pc[x + j]
-            scale = pc[p] * a  # top region iff c**(x+j) * b**(p+1) <= c**p * a**(j+1) * b**x
-            while k < len(top):
-                x, j = top[k]
-                if pc[x + j] * pb[p] * b > scale * pa[j] * pb[x]:
-                    break
-                k += 1
+            band = sorted((pa[p - j] * pb[p - x] * pc[x + j], x, j)
+                          for j, x in enumerate(p - start for start in tops))
+            for term, x, j in band:
                 if j & 1:  # rises while p <= 2u - 3
                     if p <= 2 * u - 3:
-                        top_sum += pa[p - j] * pb[p - x] * pc[x + j]
+                        top_sum += term
                         events.setdefault(2 * u - 2, []).append((x, j, -1))
                     u -= 1
                 else:  # rises once p >= 2u
                     if p >= 2 * u:
-                        top_sum += pa[p - j] * pb[p - x] * pc[x + j]
+                        top_sum += term
                     else:
                         events.setdefault(2 * u, []).append((x, j, 1))
                     u += 1
             self.numerators.append(bottom_sum + top_sum - alpha_complete(p) * pa[p] * pb[p])
-        self._bottom_next, self._bottom_diff, self._bottom_sum = i, diff, bottom_sum
-        self._top_next, self._top_diff, self._top_sum = k, u, top_sum
+        self._diff, self._bottom_sum, self._u, self._top_sum = diff, bottom_sum, u, top_sum
 
 
 @lru_cache(maxsize=None)
@@ -186,6 +178,23 @@ def delta_small(params: TripleParams, cutoff: int) -> Fraction:
         total = total * abc + numerator
     k = admissible_density(params)
     return Fraction(k.numerator * total, k.denominator * abc**cutoff)
+
+
+def _check_printable(params: TripleParams, cutoff: int, *known: Fraction) -> None:
+    """Refuse a cutoff whose exact rationals could not be printed, before the kernel runs.
+
+    They are delta_small (denominator dividing K's times (abc)**cutoff), the
+    known ones and sums of these; all but the known lie in [0, 1].
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    abc = params.a * params.b * params.c
+    denominator = lcm(admissible_density(params).denominator * abc**cutoff,
+                      *(value.denominator for value in known))
+    bits = max(denominator.bit_length(), *(value.numerator.bit_length() for value in known))
+    digits = bits * 30103 // 100000 + 1
+    if limit and digits > limit:
+        raise ValueError(f"cutoff {cutoff} needs rationals of up to {digits} digits, "
+                         f"over the limit of {limit} digits on printing an int")
 
 
 def tail_bound(params: TripleParams, cutoff: int) -> Fraction:
@@ -253,9 +262,9 @@ def approximate_density(
     interval width is at most eps; given only a cutoff, the achieved tail
     bound is reported as the precision.  Given both, eps must lie in (0, 1)
     and be at least the tail bound at the cutoff, so the reported precision
-    is always certified.  A cutoff, chosen or forced, above MAX_CUTOFF is
-    refused before any enumeration.  The upper end is clamped to 1 since
-    densities are proper.
+    is always certified.  A cutoff, chosen or forced, above MAX_CUTOFF or
+    with unprintable rationals is refused before any enumeration.  The
+    upper end is clamped to 1 since densities are proper.
     """
     if cutoff is None:
         if eps is None:
@@ -274,6 +283,7 @@ def approximate_density(
                 f"and eps >= tail_bound {tail}"
             )
     dc = delta_complete(params)
+    _check_printable(params, cutoff, eps, dc, tail)
     ds = delta_small(params, cutoff)
     lower = dc + ds
     upper = min(lower + tail, Fraction(1))
@@ -320,6 +330,7 @@ def convergence_estimate(params: TripleParams, digits: int) -> ConvergenceEstima
     value = dc
     streak = 0
     for d in range(1, MAX_CUTOFF + 1):
+        _check_printable(params, d, dc)
         value = dc + delta_small(params, d)
         current = truncated_decimal(value, digits)
         streak = streak + 1 if current == previous else 0

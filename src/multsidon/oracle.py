@@ -22,13 +22,13 @@ from .components import (
     ComponentId,
     Coord,
     TripleParams,
+    _f_arrays,
     admissible_count,
     cell_count,
     classify_component,
     f_table,
     is_admissible,
     q_copy_alpha,
-    sorted_cells,
 )
 
 EXHAUSTIVE_LIMIT = 24
@@ -80,15 +80,16 @@ def component_ids(params: TripleParams, n: int) -> Iterator[tuple[int, int]]:
 
 
 def component_instance(params: TripleParams, height: int, q: int, n: int) -> ComponentInstance:
-    """Materialise the cells of component (height, q) with values <= n."""
-    cells = [(v, x, y) for v, x, y in sorted_cells(params, height) if v * q <= n]
-    if not cells:
+    """The cells of component (height, q) with values <= n: a prefix of the unit's."""
+    values, _, cells = _f_arrays(params, height)
+    k = bisect_right(values, n // q)
+    if not k:
         raise ValueError("component does not intersect [n]")
     return ComponentInstance(
         height=height,
         multiplier=q,
-        cells=tuple((x, y) for _, x, y in cells),
-        values=tuple(v * q for v, _, _ in cells),
+        cells=cells[:k],
+        values=tuple(v * q for v in values[:k]),
     )
 
 

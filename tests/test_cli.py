@@ -17,9 +17,11 @@ import multsidon.pair_sidon
 import multsidon.cli
 from multsidon import construct_extremal_set, reduce_pair
 from multsidon.cli import (
+    MAX_CHECK_WORK,
     MAX_EMPIRICAL_N,
     MAX_EPS_EXPONENT,
     MAX_PAIR_N,
+    MAX_SET_MEMBERS,
     MAX_VERIFIED_N,
     _json_chunks,
     _member_text,
@@ -311,6 +313,33 @@ class TestTripleDensity:
             assert (code, out) == (2, "")
             assert "cutoff 11 " in err and "[0, 10]" in err
 
+    @pytest.mark.parametrize(
+        "argv, cutoff",
+        [
+            (("--a", "997", "--b", "998", "--c", "999", "--d", "500"), 500),
+            (("--a", "2", "--b", "3", "--c", "1" + "0" * 49 + "1", "--eps", "1e-40"), 147),
+        ],
+    )
+    def test_unprintable_certificate_exits_2_at_once(self, capsys, monkeypatch, argv, cutoff):
+        def refuse(*args):
+            raise AssertionError("the kernel may not run for an unprintable certificate")
+
+        monkeypatch.setattr(multsidon.density, "delta_small", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "triple-density", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert f"cutoff {cutoff} " in err and "limit of 4300 digits on printing an int" in err
+
+    def test_converge_mode_stops_before_an_unprintable_cutoff(self, capsys, monkeypatch):
+        monkeypatch.setattr(multsidon.density, "STABLE_STEPS", 10**6)
+        code, out, err = run_cli(
+            capsys, "triple-density", "--a", "2", "--b", "3", "--c", "1" + "0" * 49 + "1",
+            "--mode", "converge", "--digits", "12",
+        )
+        assert (code, out) == (2, "")
+        assert "cutoff 82 " in err and "limit of 4300 digits" in err
+
     def test_non_coprime_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "triple-density", "--a", "2", "--b", "4", "--c", "5",
@@ -467,6 +496,36 @@ class TestCheckSet:
         code, _, _ = run_cli(capsys, "check-set", "--A", "2", "--B", "3,5",
                              "--set-file", path)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "members, A, B, message",
+        [
+            (11, "2", "3", "has more than 10 lines, one per member"),
+            (4, "2,4", "3,5", "|A| * |B| * |set| = 16 exceeds the limit of 15"),
+        ],
+    )
+    def test_limits_exit_2_before_the_search(self, capsys, monkeypatch, tmp_path, members, A, B,
+                                             message):
+        def refuse(*args):
+            raise AssertionError("the witness search may not run above the limits")
+
+        monkeypatch.setattr(multsidon.cli, "general_multiplicative_witness", refuse)
+        monkeypatch.setattr(multsidon.cli, "MAX_SET_MEMBERS", 10)
+        monkeypatch.setattr(multsidon.cli, "MAX_CHECK_WORK", 15)
+        path = self.write(tmp_path, range(1, members + 1))
+        code, out, err = run_cli(capsys, "check-set", "--A", A, "--B", B, "--set-file", path)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert (MAX_SET_MEMBERS, MAX_CHECK_WORK) == (10**6, 3 * 10**7)
+
+    def test_limits_are_inclusive(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(multsidon.cli, "MAX_SET_MEMBERS", 10)
+        monkeypatch.setattr(multsidon.cli, "MAX_CHECK_WORK", 40)
+        # 10 lines, and duplicates in A and B count once: 2 * 2 * 10 = 40
+        path = self.write(tmp_path, range(1, 11))
+        report = run_json(capsys, "check-set", "--A", "7,7,11", "--B", "13,13,17",
+                          "--set-file", path)
+        assert report["multiplicative"] is True and report["size"] == 10
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "check-set", "--A", "2", "--B", "3,5",

@@ -18,7 +18,7 @@ from multsidon import (
     f_value,
     q_copy_alpha,
 )
-from multsidon.components import _cell_order, sorted_cells
+from multsidon.components import sorted_cells
 from multsidon.oracle import component_instance, grid_cell_edges
 
 from claims import check_staircase
@@ -170,14 +170,12 @@ class TestSortedCells:
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_rising_heights_equal_plain_sort(self, triple):
         t = TripleParams(*triple)
-        _cell_order.cache_clear()
         for height in range(51):
             assert sorted_cells(t, height) == plain_sorted_cells(t, height), height
 
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_high_height_first_equals_plain_sort(self, triple):
         t = TripleParams(*triple)
-        _cell_order.cache_clear()
         assert sorted_cells(t, 50) == plain_sorted_cells(t, 50)
         for height in range(50, -1, -3):
             assert sorted_cells(t, height) == plain_sorted_cells(t, height), height

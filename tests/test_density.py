@@ -3,7 +3,6 @@ against the per-height sign walk, a sort-and-divide numerator, Fraction
 telescoping and literal double sums, and tail-bound soundness."""
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 import pytest
@@ -22,7 +21,7 @@ from multsidon import (
     tail_bound,
 )
 from multsidon import components, density
-from multsidon.components import CellOrder, _f_arrays, admissible_density, alpha_complete
+from multsidon.components import _f_arrays, admissible_density, alpha_complete
 
 from claims import beta, exact_tail_within_simplified
 
@@ -113,28 +112,24 @@ def sorted_cells_delta_small(t: TripleParams, cutoff: int) -> Fraction:
 
 
 def sign_walk_numerator(t: TripleParams, height: int) -> int:
-    """N_p by one sign walk along the shared cell order per height, O(p^2).
+    """N_p by one sign walk along the cells of the height sorted by value, O(p^2 log p).
 
-    Walks the order up to (0, p), the largest cell of height p (value c^p),
-    skipping cells above the height.  diff is #even - #odd so far, and a
-    cell raises the plateau max(#even, #odd) exactly when it moves diff
-    away from 0.  A rising cell adds (abc)^p / v = (a^x b^(p-x)) *
-    (a^y c^(p-y)); the second factor is summed per x and multiplied by the
-    first once.  f_last is alpha_complete(p).
+    diff is #even - #odd so far, and a cell raises the plateau
+    max(#even, #odd) exactly when it moves diff away from 0.  A rising cell
+    adds (abc)^p / v = (a^x b^(p-x)) * (a^y c^(p-y)); the second factor is
+    summed per x and multiplied by the first once.  f_last is
+    alpha_complete(p).
     """
-    order = components.cell_order(t, height)
-    pa, pb, pc = order.powers
+    pa, pb, pc = ([base**i for i in range(height + 1)] for base in (t.a, t.b, t.c))
     row = [pa[y] * pc[height - y] for y in range(height + 1)]
     by_x = [0] * (height + 1)
     diff = 0
-    cells = order.cells
-    if order.height > height:  # no cell of this height lies past (0, height)
-        cells = islice(cells, cells.index((0, height)) + 1)
-    for x, y in cells:
-        s = x + y
-        if s > height:
-            continue
-        if s & 1:
+    cells = sorted(
+        (pa[height - x - y] * pb[x] * pc[y], x, y)
+        for x in range(height + 1) for y in range(height + 1 - x)
+    )
+    for _, x, y in cells:
+        if (x + y) & 1:
             diff -= 1
             if diff < 0:
                 by_x[x] += row[y]
@@ -155,9 +150,8 @@ def kernel_numerators(t: TripleParams, steps: list[int]) -> list[int]:
 
 
 def clear_caches() -> None:
-    """Forget every cached height, numerator and cell order."""
+    """Forget every cached height and numerator."""
     density._kernel.cache_clear()
-    components._cell_order.cache_clear()
     _f_arrays.cache_clear()
 
 
@@ -243,9 +237,9 @@ class TestDeltaSmall:
             cold[d] = delta_small(t, d)
         clear_caches()
         if request_order == "deep first":
-            f_table(t, 40)  # extends the shared order far above every cutoff
+            f_table(t, 40)  # caches the cells of heights far above every cutoff
         elif request_order == "deeper":
-            components.sorted_cells(t, 120)  # the bottom walk then runs inside a far longer order
+            components.sorted_cells(t, 120)
         for d in sorted(cutoffs, reverse=request_order == "falling"):
             assert delta_small(t, d) == cold[d], d
 
@@ -280,11 +274,19 @@ class TestTwoWalkKernel:
 
 
 def in_bottom(t: TripleParams, p: int, x: int, y: int) -> bool:
-    return t.b**x * t.c**y * t.a ** (p + 1 - x - y) < t.b ** (p + 1)
+    """a * value < b^(p+1) for a cell; w < (b/a)^(p+1) for any point."""
+    return t.b**x * t.c**y * t.a ** (p + 1) < t.b ** (p + 1) * t.a ** (x + y)
 
 
 def in_top(t: TripleParams, p: int, x: int, j: int) -> bool:
     return t.c ** (x + j) * t.b ** (p + 1) <= t.c**p * t.a ** (j + 1) * t.b**x
+
+
+def row_starts(t: TripleParams, height: int) -> tuple[list[int], list[int]]:
+    """The kernel's bottom and top row starts after it reaches the height."""
+    kernel = density._Kernel(t)
+    kernel.extend(height)
+    return kernel._rows, kernel._tops
 
 
 class TestWalksAndRegions:
@@ -293,14 +295,31 @@ class TestWalksAndRegions:
 
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_top_walk_orders_by_integer_key(self, triple):
+        """The bands in turn, each sorted by its term at its height, walk by key.
+
+        A bottom band is sorted by descending term (abc)^p / value, a top band
+        by ascending term a^(p-j) b^(p-x) c^(x+j).  Each walk must list the
+        points that have entered by the height as one sort at that height does.
+        """
         t = TripleParams(*triple)
         a, b, c = t.a, t.b, t.c
-        order = CellOrder((a * b, a * c, b * c))
-        for height in range(self.HEIGHT + 1):
-            order.extend(height)
-            points = [(x, j) for x in range(height + 1) for j in range(height + 1 - x)]
-            points.sort(key=lambda q: c ** (q[0] + q[1]) * a ** (height - q[1]) * b ** (height - q[0]))
-            assert order.cells == points, height
+
+        def bottom_term(p, x, y):
+            return a ** (x + y) * b ** (p - x) * c ** (p - y)
+
+        def top_term(p, x, j):
+            return a ** (p - j) * b ** (p - x) * c ** (x + j)
+
+        height = self.HEIGHT
+        rows, tops = row_starts(t, height)
+        bottom, top = [], []
+        for p in range(height + 1):
+            band = [(p - start, y) for y, start in enumerate(rows) if start <= p]
+            bottom += sorted(band, key=lambda q: bottom_term(p, *q), reverse=True)
+            band = [(p - start, j) for j, start in enumerate(tops) if start <= p]
+            top += sorted(band, key=lambda q: top_term(p, *q))
+        assert bottom == sorted(bottom, key=lambda q: bottom_term(height, *q), reverse=True)
+        assert top == sorted(top, key=lambda q: top_term(height, *q))
 
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_each_cell_in_exactly_one_region(self, triple):
@@ -312,25 +331,26 @@ class TestWalksAndRegions:
 
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_regions_are_prefixes_of_their_walks(self, triple):
-        """The bottom region heads the shared order, the top region the top walk.
+        """Point (x, y) enters the bottom at rows[y] + x, and (x, j) the top at tops[j] + x.
 
-        Both walks are extended far past the height, so that the claim
-        covers the points that are not cells of height p.
+        By brute force over the points of the quarter plane with coordinates
+        up to the height: each enters its region once and stays, as a cell of
+        the height it enters at, and the row starts rise strictly.  So the
+        region of height p is the bands up to p.
         """
         t = TripleParams(*triple)
-        a, b, c = t.a, t.b, t.c
-        bottom = components.cell_order(t, self.HEIGHT + 5).cells
-        top = CellOrder((a * b, a * c, b * c))
-        top.extend(self.HEIGHT + 5)
-        for p in range(self.HEIGHT + 1):
-            size = sum(1 for x in range(p + 1) for y in range(p + 1 - x) if in_bottom(t, p, x, y))
-            assert all(x + y <= p and in_bottom(t, p, x, y) for x, y in bottom[:size]), p
-            x, y = bottom[size]
-            assert x + y > p or not in_bottom(t, p, x, y), p
-            rest = (p + 1) * (p + 2) // 2 - size
-            assert all(x + j <= p and in_top(t, p, x, j) for x, j in top.cells[:rest]), p
-            x, j = top.cells[rest]
-            assert x + j > p or not in_top(t, p, x, j), p
+        heights = range(self.HEIGHT + 1)
+        for starts, inside in zip(row_starts(t, self.HEIGHT), (in_bottom, in_top)):
+            assert all(r < s for r, s in zip(starts, starts[1:]))
+            for row in heights:
+                for x in heights:
+                    entered = [p for p in heights if inside(t, p, x, row)]
+                    if row < len(starts) and starts[row] + x <= self.HEIGHT:
+                        entry = starts[row] + x
+                        assert entered == list(range(entry, self.HEIGHT + 1)), (x, row)
+                        assert x + row <= entry
+                    else:
+                        assert entered == [], (x, row)
 
 
 class TestTailBound:
