@@ -11,49 +11,54 @@ Two solved regimes:
 
 All arithmetic is exact (arbitrary-precision integers and fractions);
 independent brute-force and matching oracles live in multsidon.oracle.
+
+Importing the package loads none of its modules.  Each name below is
+imported from its home module (components, density, oracle or pair_sidon)
+when it is first read, so `from multsidon import f_table` loads components
+alone.  The two exceptions live here, so that the CLI can catch them
+without loading the layers that raise them.
 """
 
-from .components import (
-    ComponentId,
-    TripleParams,
-    admissible_count,
-    admissible_density,
-    alpha_complete,
-    classify_component,
-    f_table,
-    f_value,
-    q_copy_alpha,
-)
-from .density import (
-    ConvergenceEstimate,
-    DensityInterval,
-    approximate_density,
-    choose_cutoff,
-    convergence_estimate,
-    delta_complete,
-    delta_small,
-    tail_bound,
-)
-from .oracle import (
-    ComponentInstance,
-    ComponentSummary,
-    FiniteGraphReport,
-    VerificationError,
-    empirical_density,
-    exact_alpha_exhaustive,
-    exact_alpha_matching,
-    finite_graph_report,
-)
-from .pair_sidon import (
-    ExtremalPairSet,
-    PairParams,
-    PathDecomposition,
-    build_path_decomposition,
-    construct_extremal_set,
-    is_pair_multiplicative,
-    pair_density,
-    path_alpha,
-    reduce_pair,
-)
-
 __version__ = "0.1.0"
+
+
+class VerificationError(Exception):
+    """An internal cross-check failed; indicates a construction bug."""
+
+
+class ConvergenceError(RuntimeError):
+    """The truncated decimal did not stabilise within the cutoff limit."""
+
+
+_HOMES = {
+    name: home
+    for home, names in (
+        ("components", "ComponentId TripleParams admissible_count admissible_density "
+                       "alpha_complete classify_component f_table f_value q_copy_alpha"),
+        ("density", "ConvergenceEstimate DensityInterval approximate_density choose_cutoff "
+                    "convergence_estimate delta_complete delta_small tail_bound"),
+        ("oracle", "ComponentInstance ComponentSummary FiniteGraphReport empirical_density "
+                   "exact_alpha_exhaustive exact_alpha_matching finite_graph_report"),
+        ("pair_sidon", "ExtremalPairSet PairParams PathDecomposition build_path_decomposition "
+                       "construct_extremal_set is_pair_multiplicative pair_density path_alpha "
+                       "reduce_pair"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted([*_HOMES, "ConvergenceError", "VerificationError"])
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

@@ -19,12 +19,21 @@ Exit codes: 0 on success, 2 on invalid parameters, malformed input or a
 refused work size, 3 when an internal cross-check fails (which would
 indicate a bug) or a converge-mode estimate does not stabilise within the
 cutoff limit.
+
+Importing this module loads argparse, fractions, json and multsidon.rational
+only.  Each command imports its own layer when it runs: the pair commands
+pair_sidon, the triple commands density (with components), empirical
+components and oracle, check-set oracle; csv is imported for --format csv.
+approximate_density, convergence_estimate, empirical_density and
+general_multiplicative_witness are module-level names that import their
+home module on the first call, and every command reads them, with
+format_rational and truncated_decimal, when it runs, so each can be
+replaced on this module.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -32,15 +41,25 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, compress
 
-from . import pair_sidon
-from .components import TripleParams
-from .density import ConvergenceError, approximate_density, convergence_estimate
-from .oracle import (
-    VerificationError,
-    empirical_density,
-    general_multiplicative_witness,
-)
+from . import ConvergenceError, VerificationError
 from .rational import format_rational, truncated_decimal
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for multsidon.module.name that imports the module when called."""
+
+    def call(*args, **kwargs):
+        from importlib import import_module
+
+        return getattr(import_module(f"multsidon.{module}"), name)(*args, **kwargs)
+
+    return call
+
+
+approximate_density = _deferred("density", "approximate_density")
+convergence_estimate = _deferred("density", "convergence_estimate")
+empirical_density = _deferred("oracle", "empirical_density")
+general_multiplicative_witness = _deferred("oracle", "general_multiplicative_witness")
 
 TABLE_TRIPLES = (
     (2, 3, 5),
@@ -180,6 +199,8 @@ def _emit(report: dict, rows: list[dict] | None, fmt: str, plain: str) -> None:
             payload["rows"] = rows
         sys.stdout.write("".join([*_json_chunks(payload), "\n"]))
     elif fmt == "csv":
+        import csv
+
         out = io.StringIO()
         data = rows if rows is not None else [report]
         writer = csv.DictWriter(out, fieldnames=list(data[0].keys()))
@@ -191,6 +212,8 @@ def _emit(report: dict, rows: list[dict] | None, fmt: str, plain: str) -> None:
 
 
 def _cmd_pair_density(args: argparse.Namespace) -> int:
+    from . import pair_sidon
+
     params = pair_sidon.reduce_pair(args.a, args.b)
     density = pair_sidon.pair_density(params)
     report = {
@@ -213,6 +236,8 @@ def _cmd_pair_density(args: argparse.Namespace) -> int:
 def _cmd_pair_construct(args: argparse.Namespace) -> int:
     if args.n > MAX_PAIR_N:
         raise ValueError(f"--n {args.n} exceeds the limit of {MAX_PAIR_N} for pair-construct")
+    from . import pair_sidon
+
     params = pair_sidon.reduce_pair(args.a, args.b)
     verified = None
     if args.verify:
@@ -251,6 +276,8 @@ def _cmd_pair_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_triple_density(args: argparse.Namespace) -> int:
+    from .components import TripleParams
+
     params = TripleParams(args.a, args.b, args.c)
     if args.mode == "converge":
         estimate = convergence_estimate(params, args.digits)
@@ -308,6 +335,8 @@ def _cmd_triple_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_triple_table(args: argparse.Namespace) -> int:
+    from .components import TripleParams
+
     rows = []
     for a, b, c in TABLE_TRIPLES:
         params = TripleParams(a, b, c)
@@ -351,6 +380,8 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
             f"--n {args.n} exceeds the limit of {MAX_VERIFIED_N} for a verified run "
             f"(n <= --verify-upto {args.verify_upto})"
         )
+    from .components import TripleParams
+
     params = TripleParams(args.a, args.b, args.c)
     ratio = empirical_density(params, args.n, verify_upto=args.verify_upto)
     alpha = ratio.numerator * args.n // ratio.denominator

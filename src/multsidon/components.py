@@ -23,7 +23,7 @@ of f_table and f_value.  The density kernel reads row bands instead.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -31,20 +31,18 @@ from math import gcd
 Coord = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TripleParams:
+class TripleParams(namedtuple("TripleParams", "a b c")):
     """Pairwise coprime 1 < a < b < c."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 < self.a < self.b < self.c:
-            raise ValueError(f"need 1 < a < b < c, got ({self.a}, {self.b}, {self.c})")
-        for x, y in ((self.a, self.b), (self.a, self.c), (self.b, self.c)):
+    def __new__(cls, a: int, b: int, c: int) -> TripleParams:
+        if not 1 < a < b < c:
+            raise ValueError(f"need 1 < a < b < c, got ({a}, {b}, {c})")
+        for x, y in ((a, b), (a, c), (b, c)):
             if gcd(x, y) != 1:
                 raise ValueError(f"{x} and {y} are not coprime")
+        return super().__new__(cls, a, b, c)
 
 
 def is_admissible(params: TripleParams, q: int) -> bool:
@@ -139,13 +137,13 @@ def admissible_density(params: TripleParams) -> Fraction:
     return Fraction((a - 1) * (b - 1) * (c - 1), a * b * c)
 
 
-@dataclass(frozen=True)
-class ComponentId:
-    """A component (height, multiplier) classified relative to n and a cutoff."""
+class ComponentId(namedtuple("ComponentId", "height multiplier kind")):
+    """A component (height, multiplier) classified relative to n and a cutoff.
 
-    height: int
-    multiplier: int
-    kind: str  # 'complete', 'small' or 'large'
+    kind is 'complete', 'small' or 'large'.
+    """
+
+    __slots__ = ()
 
 
 def classify_component(

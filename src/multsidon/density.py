@@ -72,11 +72,12 @@ finished N_p, so a larger cutoff computes only its new heights.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from . import ConvergenceError
 from .components import TripleParams, admissible_density, alpha_complete
 from .rational import truncated_decimal
 
@@ -233,18 +234,11 @@ def choose_cutoff(params: TripleParams, eps: Fraction) -> int:
     return high
 
 
-@dataclass(frozen=True)
-class DensityInterval:
+class DensityInterval(namedtuple("DensityInterval", "params epsilon cutoff delta_complete "
+                                                  "delta_small tail_bound lower upper")):
     """Certified enclosure [lower, upper] of the maximum density."""
 
-    params: TripleParams
-    epsilon: Fraction
-    cutoff: int
-    delta_complete: Fraction
-    delta_small: Fraction
-    tail_bound: Fraction
-    lower: Fraction
-    upper: Fraction
+    __slots__ = ()
 
     @property
     def width(self) -> Fraction:
@@ -299,19 +293,10 @@ def approximate_density(
     )
 
 
-class ConvergenceError(RuntimeError):
-    """The truncated decimal did not stabilise within the cutoff limit."""
-
-
-@dataclass(frozen=True)
-class ConvergenceEstimate:
+class ConvergenceEstimate(namedtuple("ConvergenceEstimate", "params digits cutoff value decimal")):
     """Heuristic point estimate: lower endpoint stabilised to fixed decimals."""
 
-    params: TripleParams
-    digits: int
-    cutoff: int
-    value: Fraction
-    decimal: str
+    __slots__ = ()
 
 
 def convergence_estimate(params: TripleParams, digits: int) -> ConvergenceEstimate:

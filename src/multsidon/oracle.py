@@ -14,12 +14,12 @@ components one by one only when n <= verify_upto.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
+from . import VerificationError
 from .components import (
-    ComponentId,
     Coord,
     TripleParams,
     _f_arrays,
@@ -34,35 +34,22 @@ from .components import (
 EXHAUSTIVE_LIMIT = 24
 
 
-class VerificationError(Exception):
-    """An internal cross-check failed; indicates a construction bug."""
+class ComponentInstance(namedtuple("ComponentInstance", "height multiplier cells values")):
+    """A component truncated to [n]: its cells by value, with their integer values."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class ComponentInstance:
-    """A component truncated to [n]: active cells with their integer values."""
+class ComponentSummary(namedtuple("ComponentSummary", "ident vertex_count alpha")):
+    """A component's ComponentId, its vertex count in [n] and its independence number."""
 
-    height: int
-    multiplier: int
-    cells: tuple[Coord, ...]  # sorted by value
-    values: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
-    ident: ComponentId
-    vertex_count: int
-    alpha: int
-
-
-@dataclass(frozen=True)
-class FiniteGraphReport:
+class FiniteGraphReport(namedtuple("FiniteGraphReport", "n components total_alpha ratio")):
     """Decomposition of [n] with per-component independence numbers."""
 
-    n: int
-    components: tuple[ComponentSummary, ...]
-    total_alpha: int
-    ratio: Fraction
+    __slots__ = ()
 
 
 def component_ids(params: TripleParams, n: int) -> Iterator[tuple[int, int]]:

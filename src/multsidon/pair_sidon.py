@@ -24,31 +24,26 @@ with, and path_alpha reads that optimum off the path lengths.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from typing import Iterable
 
 
-@dataclass(frozen=True)
-class PairParams:
+class PairParams(namedtuple("PairParams", "a b g a_red b_red")):
     """A validated pair 1 <= a < b together with its coprime reduction."""
 
-    a: int
-    b: int
-    g: int
-    a_red: int
-    b_red: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.a < self.b:
-            raise ValueError(f"need 1 <= a < b, got a={self.a}, b={self.b}")
-        if self.g != gcd(self.a, self.b):
+    def __new__(cls, a: int, b: int, g: int, a_red: int, b_red: int) -> PairParams:
+        if not 1 <= a < b:
+            raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
+        if g != gcd(a, b):
             raise ValueError("g must equal gcd(a, b)")
-        if (self.a_red, self.b_red) != (self.a // self.g, self.b // self.g):
+        if (a_red, b_red) != (a // g, b // g):
             raise ValueError("reduced pair must be (a/g, b/g)")
+        return super().__new__(cls, a, b, g, a_red, b_red)
 
 
 def reduce_pair(a: int, b: int) -> PairParams:
@@ -59,8 +54,7 @@ def reduce_pair(a: int, b: int) -> PairParams:
     return PairParams(a=a, b=b, g=g, a_red=a // g, b_red=b // g)
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
+class PathDecomposition(namedtuple("PathDecomposition", "params n source_lengths")):
     """Partition of [n] into the maximal chains x -> x*b_red/a_red.
 
     source_lengths[x] is the number of vertices on the path that starts at
@@ -68,9 +62,7 @@ class PathDecomposition:
     themselves are walked on demand by the paths view.
     """
 
-    params: PairParams
-    n: int
-    source_lengths: bytes
+    __slots__ = ()
 
     @property
     def paths(self) -> Sequence[tuple[int, ...]]:
@@ -105,26 +97,25 @@ class _PathView(Sequence):
         return tuple(path)
 
 
-@dataclass(frozen=True)
-class ExtremalPairSet:
+class ExtremalPairSet(namedtuple("ExtremalPairSet", "n mask")):
     """The even subpowers of b_red inside [n], as a byte mask over [0, n].
 
     mask[x] is 1 when x is a member and 0 otherwise; mask[0] is 0.  The
     members are read off the mask, in ascending order, only when asked for.
     """
 
-    n: int
-    mask: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.mask, bytes):
+    def __new__(cls, n: int, mask: bytes) -> ExtremalPairSet:
+        if not isinstance(mask, bytes):
             raise TypeError("mask must be bytes")
-        if len(self.mask) != self.n + 1:
-            raise ValueError(f"mask must hold n + 1 = {self.n + 1} bytes, got {len(self.mask)}")
-        if self.mask[:1] != b"\x00":
+        if len(mask) != n + 1:
+            raise ValueError(f"mask must hold n + 1 = {n + 1} bytes, got {len(mask)}")
+        if mask[:1] != b"\x00":
             raise ValueError("0 cannot be a member")
-        if self.mask.count(0) + self.cardinality != len(self.mask):
+        if mask.count(0) + mask.count(1) != len(mask):
             raise ValueError("mask bytes must be 0 or 1")
+        return super().__new__(cls, n, mask)
 
     @property
     def cardinality(self) -> int:

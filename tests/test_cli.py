@@ -533,6 +533,41 @@ class TestCheckSet:
         assert code == 2
 
 
+class TestPatchContract:
+    """Each command reads these names on multsidon.cli when it runs, so a patch there is called.
+
+    The four layer functions stand in for their home modules' until called, so
+    that importing the CLI loads no layer.
+    """
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            ("approximate_density", "triple-density --a 2 --b 3 --c 5 --eps 1e-6"),
+            ("convergence_estimate", "triple-density --a 2 --b 3 --c 5 --mode converge"),
+            ("empirical_density", "empirical --a 2 --b 3 --c 5 --n 1000"),
+            ("general_multiplicative_witness", "check-set --A 2 --B 3 --set-file SET_FILE"),
+            ("format_rational", "pair-density --a 2 --b 3"),
+            ("truncated_decimal", "pair-density --a 2 --b 3"),
+        ],
+    )
+    def test_command_calls_the_patched_name(self, capsys, monkeypatch, tmp_path, name, command):
+        set_file = tmp_path / "set.txt"
+        set_file.write_text("1\n2\n", encoding="ascii")
+        argv = [str(set_file) if arg == "SET_FILE" else arg for arg in command.split()]
+        expected = run_cli(capsys, *argv)
+        original = getattr(multsidon.cli, name)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(multsidon.cli, name, recording)
+        assert run_cli(capsys, *argv) == expected
+        assert expected[0] == 0 and calls
+
+
 class TestJsonRoundTrip:
     def test_every_rational_field_parses_back(self, capsys):
         report = run_json(
