@@ -16,10 +16,10 @@ Those vertices are exactly the even subpowers of b/g.
 construct_extremal_set sieves the set in one byte per x <= n and keeps it
 as that byte mask, so no int object is made per member unless the members
 are asked for; is_pair_multiplicative checks the condition on the mask.
-build_path_decomposition solves the edge relation for the length of each
-path, one byte per source, without building the paths: it is the
-independent optimum that pair-construct --verify compares the cardinality
-with, and path_alpha reads that optimum off the path lengths.
+build_path_decomposition solves the edge relation in one sweep for the
+path length from each vertex onward, one byte per vertex, without building
+the paths: the independent optimum that pair-construct --verify compares
+the cardinality with, which path_alpha counts off the odd lengths.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ def reduce_pair(a: int, b: int) -> PairParams:
     return PairParams(a=a, b=b, g=g, a_red=a // g, b_red=b // g)
 
 
-class PathDecomposition(namedtuple("PathDecomposition", "params n source_lengths")):
+class PathDecomposition(namedtuple("PathDecomposition", "params n lengths")):
     """Partition of [n] into the maximal chains x -> x*b_red/a_red.
 
-    source_lengths[x] is the number of vertices on the path that starts at
-    x, and 0 when x is no source (x = 0 or b_red divides x).  The paths
+    lengths[x] is the number of vertices on x's path from x onward, x
+    included, for every 1 <= x <= n, and lengths[0] is 0.  At a source (an
+    x not divisible by b_red) it is the whole path's length.  The paths
     themselves are walked on demand by the paths view.
     """
 
@@ -91,7 +92,7 @@ class _PathView(Sequence):
         a, b = self._d.params.a_red, self._d.params.b_red
         v = index + index // (b - 1) + 1
         path = [v]
-        for _ in range(self._d.source_lengths[v] - 1):
+        for _ in range(self._d.lengths[v] - 1):
             v = v // a * b
             path.append(v)
         return tuple(path)
@@ -113,7 +114,7 @@ class ExtremalPairSet(namedtuple("ExtremalPairSet", "n mask")):
             raise ValueError(f"mask must hold n + 1 = {n + 1} bytes, got {len(mask)}")
         if mask[:1] != b"\x00":
             raise ValueError("0 cannot be a member")
-        if mask.count(0) + mask.count(1) != len(mask):
+        if mask.translate(None, b"\x00\x01"):
             raise ValueError("mask bytes must be 0 or 1")
         return super().__new__(cls, n, mask)
 
@@ -137,7 +138,8 @@ def construct_extremal_set(params: PairParams, n: int) -> ExtremalPairSet:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     b = params.b_red
-    mask = bytearray(b"\x00" + b"\x01" * n)
+    mask = bytearray(b"\x01") * (n + 1)
+    mask[0] = 0
     power, even = b, 0
     while power <= n:
         mask[power::power] = bytes((even,)) * (n // power)
@@ -184,6 +186,7 @@ def is_pair_multiplicative(
 
 # byte i -> i + 1; no path length comes near 255
 _INCREMENT = bytes(range(1, 256)) + b"\xff"
+_ODD = bytes(range(2)) * 128  # byte i -> i % 2
 
 
 def build_path_decomposition(params: PairParams, n: int) -> PathDecomposition:
@@ -191,49 +194,46 @@ def build_path_decomposition(params: PairParams, n: int) -> PathDecomposition:
 
     The edges are a_red*t -> b_red*t for t <= n // b_red, so the number of
     vertices on the path from x onward satisfies
-    length[a_red*t] = 1 + length[b_red*t] and is 1 at every other x.
-    Starting from all ones, one round applies that relation to every t at
-    once: a strided slice read, a +1 byte table, a strided slice write.
-    After r rounds each entry is min(length, r + 1), so the rounds stop
-    changing the array after as many rounds as the longest path has edges,
-    and the array they stop at is the unique solution, since every edge
-    goes up.  The vertex at distance d from its source is a multiple of
-    b_red**d, so a path has at most log2(n) + 1 vertices, far below 256 for
-    any n that fits in memory: one byte per vertex holds its length, and
-    there are at most that many rounds of O(n / b_red) work each.  Sources
-    are exactly the integers not divisible by b_red; the other entries are
-    zeroed.
+    length[a_red*t] = 1 + length[b_red*t] and is 1 at every other x.  One
+    sweep down in t solves it, in chunks (lo, hi] from hi = n // b_red down
+    to 0, with lo = a_red*(hi // b_red).  As the pair is coprime, a read
+    b_red*t is also a write a_red*t' only if a_red divides t and t' =
+    b_red*t/a_red; that write is in this chunk or a later one only if
+    t' <= hi, that is t <= lo.  So the reads are final, and one strided
+    read, a +1 byte table and one strided write settle the chunk.  Each t
+    is touched once, O(n / b_red) work after the O(n) fill with ones, in at
+    most n // b_red**2 + 1 chunks (hi // b_red falls per chunk).  A vertex
+    at distance d from its source is a multiple of b_red**d, so a path has
+    at most log2(n) + 1 < 256 vertices: one byte holds each length.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     a, b = params.a_red, params.b_red
-    k = n // b
-    length = bytearray(b"\x00" + b"\x01" * n)
-    while True:
-        longer = length[b::b].translate(_INCREMENT)
-        if longer == length[a : a * k + 1 : a]:
-            break
-        length[a : a * k + 1 : a] = longer
-    length[b::b] = bytes(k)
-    return PathDecomposition(params=params, n=n, source_lengths=bytes(length))
+    length = bytearray(b"\x01") * (n + 1)
+    length[0] = 0
+    hi = n // b
+    while hi:
+        lo = a * (hi // b)
+        longer = length[b * lo + b : b * hi + 1 : b].translate(_INCREMENT)
+        length[a * lo + a : a * hi + 1 : a] = longer
+        hi = lo
+    return PathDecomposition(params=params, n=n, lengths=bytes(length))
 
 
 def path_alpha(decomposition: PathDecomposition) -> int:
     """Independence number of the path graph: sum of ceil(len/2) per path.
 
-    The sources are counted by path length at C speed, for lengths 1, 2,
-    ... until the counts cover every source, so the sum has one term per
-    length up to the longest path.
+    Along a path of L vertices the lengths from each vertex onward are
+    L, L - 1, ..., 1, and ceil(L/2) of them are odd, so the sum counts the
+    odd lengths: 1 at the n - k vertices with no out-edge, k = n // b_red,
+    and the k others, a_red*t, by one strided read, a byte table, a count.
+    Those vertices, at even distance from each path's end, are another
+    maximum independent set than the even subpowers whenever L is even,
+    found from the edge relation alone, never from v_b, so the count stays
+    independent of the sieve.
     """
-    lengths = decomposition.source_lengths
-    uncounted = len(decomposition.paths)
-    alpha = length = 0
-    while uncounted > 0:
-        length += 1
-        sources = lengths.count(length)
-        alpha += (length + 1) // 2 * sources
-        uncounted -= sources
-    return alpha
+    a, k = decomposition.params.a_red, decomposition.n // decomposition.params.b_red
+    return decomposition.n - k + decomposition.lengths[a : a * k + 1 : a].translate(_ODD).count(1)
 
 
 def pair_density(params: PairParams) -> Fraction:

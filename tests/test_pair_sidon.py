@@ -80,6 +80,26 @@ def walked_paths(params, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(paths)
 
 
+def walked_length(params, n: int, x: int) -> int:
+    """Vertices on x's path from x onward, by walking the edges one by one."""
+    a, b = params.a_red, params.b_red
+    length = 1
+    while x % a == 0 and x // a * b <= n:
+        x = x // a * b
+        length += 1
+    return length
+
+
+def check_lengths_and_alpha(params, n: int) -> None:
+    """Every remaining length against the walk, and path_alpha two ways."""
+    d = build_path_decomposition(params, n)
+    assert len(d.lengths) == n + 1 and d.lengths[0] == 0
+    assert list(d.lengths[1:]) == [walked_length(params, n, x) for x in range(1, n + 1)]
+    alpha = path_alpha(d)
+    assert alpha == sum((len(path) + 1) // 2 for path in d.paths)
+    assert alpha == construct_extremal_set(params, n).cardinality
+
+
 def count_even_subpowers(b: int, n: int) -> int:
     """Independent cardinality count: levels b**i with even i telescope."""
     total = 0
@@ -359,11 +379,53 @@ class TestPathDecomposition:
                 assert subpower_index(v, p.b_red)[0] == distance
 
 
+class TestPathLengths:
+    """The one-sweep lengths and the odd-length count against slow oracles."""
+
+    def test_two_three_ten(self):
+        d = build_path_decomposition(reduce_pair(2, 3), 10)
+        # paths (1,), (2, 3), (4, 6, 9), (5,), (7,), (8,), (10,)
+        assert d.lengths == bytes([0, 1, 2, 1, 3, 1, 2, 1, 1, 1, 1])
+
+    @pytest.mark.parametrize(
+        "a,b", [(2, 3), (1, 2), (4, 6), (6, 15), (5, 6), (99, 100), (1, 1000)]
+    )
+    def test_every_n_up_to_300(self, a, b):
+        p = reduce_pair(a, b)
+        for n in range(1, 301):
+            check_lengths_and_alpha(p, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 199).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 200))),
+        st.integers(1, 5000),
+    )
+    @example((1, 2), 5000)  # the longest paths
+    @example((199, 200), 5000)  # the whole sweep is one chunk
+    @example((9, 10), 5000)  # 23 chunks, each about a tenth of hi
+    @example((2, 3), 4374)  # 2 * 3**7: a path ends exactly at n
+    @example((1, 200), 199)  # n // b_red == 0: no edge at all
+    def test_property(self, pair, n):
+        check_lengths_and_alpha(reduce_pair(*pair), n)
+
+
 class TestPathAlpha:
     def test_examples(self):
         assert path_alpha(build_path_decomposition(reduce_pair(2, 3), 10)) == 8
         assert path_alpha(build_path_decomposition(reduce_pair(1, 2), 4)) == 3
         assert path_alpha(build_path_decomposition(reduce_pair(1, 2), 1)) == 1
+
+    def test_odd_lengths_are_another_maximum_set(self):
+        # on (1, 2) at n = 8 the paths 1, 2, 4, 8 and 3, 6 have remaining lengths
+        # 4, 3, 2, 1 and 2, 1: the odd ones pick {2, 8} and {6}, the even
+        # subpowers {1, 4} and {3}
+        p = reduce_pair(1, 2)
+        d = build_path_decomposition(p, 8)
+        odd = {x for x in range(1, 9) if d.lengths[x] % 2}
+        assert odd == {2, 5, 6, 7, 8}
+        assert set(construct_extremal_set(p, 8).members) == {1, 3, 4, 5, 7}
+        assert is_pair_multiplicative(odd, 1, 2)
+        assert path_alpha(d) == len(odd)
 
 
 class TestPairDensity:
