@@ -9,7 +9,8 @@ truncated, never rounded, with the digit count stated.
 Work is bounded up front: --digits must lie in [0, MAX_DECIMAL_DIGITS],
 pair-construct refuses n above MAX_PAIR_N, since it holds the whole set in
 memory, and empirical refuses n above MAX_EMPIRICAL_N, or above
-MAX_VERIFIED_N when n <= --verify-upto asks for the O(n) cross-check.  The
+MAX_VERIFIED_N when n <= --verify-upto asks for the O(n) cross-check, or
+unit triangles of more than MAX_EMPIRICAL_BITS bits of values.  The
 triple commands refuse a cutoff above density.MAX_CUTOFF (500), and an
 --eps whose decimal exponent exceeds MAX_EPS_EXPONENT in magnitude, before
 the Fraction is built, and a cutoff whose rationals are too long to print.
@@ -40,6 +41,7 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, compress
+from math import comb
 
 from . import ConvergenceError, VerificationError
 from .rational import format_rational, truncated_decimal
@@ -79,8 +81,13 @@ DEFAULT_DECIMAL_DIGITS = 6
 MAX_DECIMAL_DIGITS = 4000
 # pair-construct --verify peaks near 225 MB of memory (0.8-0.95 s) at n = 10**7.
 MAX_PAIR_N = 10**7
-# empirical's floor-block sum is O(sqrt(n) log n): about 3.4 s at n = 10**12.
+# empirical makes one admissible_count per rising value: 0.15 s at n = 10**12.
 MAX_EMPIRICAL_N = 10**12
+# The unit triangles of heights p <= H = floor(log_a n), all built and sorted,
+# hold about C(H + 3, 4) * (bits of a + b + c) bits.  The slowest input found
+# under the limit, a = 6 with 4300-digit b and c at n = 10**12 (8.7e7 bits),
+# takes 1.75 s and peaks near 27 MB.
+MAX_EMPIRICAL_BITS = 10**8
 # Re-solving every component by matching is O(n): about 1.8 s at n = 10**5.
 MAX_VERIFIED_N = 10**5
 # Fraction("1e-N") builds 10**N exactly, which takes about 10 s at N = 10**7.
@@ -380,6 +387,13 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
             f"--n {args.n} exceeds the limit of {MAX_VERIFIED_N} for a verified run "
             f"(n <= --verify-upto {args.verify_upto})"
         )
+    height, power = 0, args.a  # the largest height with a**height <= n
+    while 1 < power <= args.n:
+        height, power = height + 1, power * args.a
+    bits = comb(height + 3, 4) * sum(x.bit_length() for x in (args.a, args.b, args.c))
+    if bits > MAX_EMPIRICAL_BITS:
+        raise ValueError(f"the unit triangles of empirical at --n {args.n} hold about {bits} "
+                         f"bits of values, above the limit of {MAX_EMPIRICAL_BITS}")
     from .components import TripleParams
 
     params = TripleParams(args.a, args.b, args.c)

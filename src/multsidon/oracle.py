@@ -7,8 +7,9 @@ parity) or by branch-and-bound over vertex subsets for graphs small enough
 to enumerate.  The finite graph on [n] is rebuilt explicitly so that the
 component decomposition, the step-function lookups and the closed forms
 can all be cross-checked against each other.  empirical_density sums
-alpha(G_n) over floor blocks of multipliers, and walks and re-solves the
-components one by one only when n <= verify_upto.
+alpha(G_n) over the rising values of the step functions, one
+admissible_count per rise, and walks and re-solves the components one by
+one only when n <= verify_upto.
 """
 
 from __future__ import annotations
@@ -207,12 +208,13 @@ def finite_graph_report(
 
 
 def empirical_density(params: TripleParams, n: int, verify_upto: int) -> Fraction:
-    """alpha(G_n) / n by a floor-block sum, in O(sqrt(n) * log n).
+    """alpha(G_n) / n as one sum over the rising values v <= n.
 
-    Component (p, q) contributes f(p, floor(n / q)), and f(p, .) steps up by
-    one at each rising plateau, so alpha(G_n) sums, over admissible q, the
-    rising values <= floor(n / q) of all heights.  floor(n / q) takes
-    O(sqrt n) values; admissible_count counts the q of each block.
+    Component (p, q) contributes f(p, floor(n / q)), the number of rising
+    values <= floor(n / q) at height p.  v <= floor(n / q) holds exactly when
+    q <= floor(n / v), so alpha(G_n) sums admissible_count(floor(n / v)) over
+    the rising values v <= n of every height: one call per rise, after the
+    unit triangles of the heights p with a**p <= n are built and sorted.
     When n <= verify_upto, finite_graph_report sums per component instead
     and re-solves each by matching, raising VerificationError on a mismatch.
     """
@@ -220,23 +222,16 @@ def empirical_density(params: TripleParams, n: int, verify_upto: int) -> Fractio
         raise ValueError(f"n must be positive, got {n}")
     if n <= verify_upto:
         return finite_graph_report(params, n, verify=True).ratio
-    rises = []
-    p, power = 0, 1
+    total, p, power = 0, 0, 1
     while power <= n:
         previous = 0
         for value, plateau in f_table(params, p):
-            if plateau > previous and value <= n:
-                rises.append(value)
+            if value > n:
+                break
+            if plateau > previous:
+                total += admissible_count(params, n // value)
             previous = plateau
         p, power = p + 1, power * params.a
-    rises.sort()
-    total, q = 0, 1
-    while q <= n:
-        m = n // q
-        last = n // m
-        multipliers = admissible_count(params, last) - admissible_count(params, q - 1)
-        total += multipliers * bisect_right(rises, m)
-        q = last + 1
     return Fraction(total, n)
 
 

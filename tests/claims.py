@@ -4,17 +4,19 @@ The library computes the extremal pair set, the pair density and the
 certified triple-density interval.  The statements here back those results
 without being part of them: the explicit decomposition of [n], a maximum
 independent set read off it, the staircase lemma on random staircases, the
-simplified tail bound and the pair-set cardinality bracket.  The module is
-named so that pytest does not collect it; test modules import from it.
+simplified tail bound, the pair-set cardinality bracket and the floor-block
+sum of alpha(G_n).  The module is named so that pytest does not collect it;
+test modules import from it.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from multsidon.components import Coord, TripleParams
+from multsidon.components import Coord, TripleParams, admissible_count, f_table
 from multsidon.density import tail_bound
 from multsidon.oracle import (
     EXHAUSTIVE_LIMIT,
@@ -125,3 +127,29 @@ def cardinality_bounds(params: PairParams, n: int) -> tuple[Fraction, Fraction]:
     lower = main - Fraction(k + 1, 2)
     upper = 1 + Fraction(k, 2) + main
     return lower, upper
+
+
+def floor_block_alpha(params: TripleParams, n: int) -> int:
+    """alpha(G_n) summed over the blocks of multipliers q that share floor(n / q).
+
+    Component (p, q) contributes f(p, floor(n / q)), the number of rising
+    values <= floor(n / q) at height p.  floor(n / q) takes O(sqrt n) values,
+    admissible_count counts the q of each block, and a bisect counts the
+    rising values of all heights up to its floor.
+    """
+    rises = []
+    for p in range(floor_log(params.a, n) + 1):
+        previous = 0
+        for value, plateau in f_table(params, p):
+            if plateau > previous and value <= n:
+                rises.append(value)
+            previous = plateau
+    rises.sort()
+    total, q = 0, 1
+    while q <= n:
+        m = n // q
+        last = n // m
+        multipliers = admissible_count(params, last) - admissible_count(params, q - 1)
+        total += multipliers * bisect_right(rises, m)
+        q = last + 1
+    return total

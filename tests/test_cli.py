@@ -18,6 +18,7 @@ import multsidon.cli
 from multsidon import construct_extremal_set, reduce_pair
 from multsidon.cli import (
     MAX_CHECK_WORK,
+    MAX_EMPIRICAL_BITS,
     MAX_EMPIRICAL_N,
     MAX_EPS_EXPONENT,
     MAX_PAIR_N,
@@ -446,6 +447,38 @@ class TestEmpirical:
             code, out, err = run_cli(capsys, *base, "--n", n, "--verify-upto", verify_upto)
             assert (code, out) == (2, "")
             assert f"--n {n} " in err and f"limit of {limit} " in err
+
+    @pytest.mark.parametrize(
+        "a, b, c, bits",
+        [
+            # H = 39: C(42, 4) * (2 + 2 + 13953) bits
+            (2, 3, 10**4200 + 1, 1_562_207_010),
+            # H = 17: C(20, 4) * (3 + 14281 + 14281) bits
+            (5, 10**4299 + 1, 10**4299 + 3, 138_397_425),
+        ],
+    )
+    def test_huge_bases_exit_2_before_any_work(self, capsys, monkeypatch, a, b, c, bits):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may be computed above the limit")
+
+        monkeypatch.setattr(multsidon.cli, "empirical_density", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "empirical", "--a", str(a), "--b", str(b), "--c", str(c), "--n", str(10**12)
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert f"about {bits} bits" in err and f"limit of {MAX_EMPIRICAL_BITS}" in err
+        assert MAX_EMPIRICAL_BITS == 10**8
+
+    def test_bits_limit_is_inclusive(self, capsys, monkeypatch):
+        # (2,3,5) holds C(H + 3, 4) * (2 + 2 + 3) bits: H = 9 up to n = 1023, 10 at 1024
+        monkeypatch.setattr(multsidon.cli, "MAX_EMPIRICAL_BITS", 495 * 7)
+        base = ("empirical", "--a", "2", "--b", "3", "--c", "5")
+        assert run_json(capsys, *base, "--n", "1023")["n"] == 1023
+        code, out, err = run_cli(capsys, *base, "--n", "1024")
+        assert (code, out) == (2, "")
+        assert f"about {715 * 7} bits" in err and f"limit of {495 * 7}" in err
 
     def test_negative_verify_upto_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -27,7 +27,13 @@ from multsidon.oracle import (
     grid_cell_edges,
 )
 
-from claims import build_gn, parity_independent_set, random_staircase, staircase_lemma_check
+from claims import (
+    build_gn,
+    floor_block_alpha,
+    parity_independent_set,
+    random_staircase,
+    staircase_lemma_check,
+)
 
 T235 = TripleParams(2, 3, 5)
 T345 = TripleParams(3, 4, 5)
@@ -175,6 +181,17 @@ class TestEmpiricalDensity:
     def test_block_sum_equals_per_component_sum_on_small_triples(self, triple, n):
         t = TripleParams(*triple)
         assert empirical_density(t, n, verify_upto=0) * n == per_component_alpha(t, n)
+
+    @pytest.mark.parametrize(
+        "triple", [(2, 3, 5), (3, 4, 5), (2, 7, 9), (5, 6, 7), (3, 7, 8), (2, 3, 1000003),
+                   (7, 11, 13)],
+    )
+    def test_rising_value_sum_equals_floor_block_sum(self, triple):
+        # per_component_alpha stops near 10**5; the floor-block sum reaches 10**10
+        t = TripleParams(*triple)
+        rng = random.Random(str(triple))
+        for n in (1, 2, 10**5 - 1, rng.randint(10**8, 10**9), rng.randint(10**9, 10**10)):
+            assert empirical_density(t, n, verify_upto=0) * n == floor_block_alpha(t, n), n
 
     def test_verified_path_agrees(self):
         for n in (1, 2, 999, 3000):
