@@ -33,12 +33,12 @@ class ConvergenceError(RuntimeError):
 _HOMES = {
     name: home
     for home, names in (
-        ("components", "ComponentId TripleParams admissible_count admissible_density "
-                       "alpha_complete classify_component f_table f_value q_copy_alpha"),
+        ("components", "TripleParams admissible_count admissible_density alpha_complete "
+                       "f_table f_value q_copy_alpha"),
         ("density", "ConvergenceEstimate DensityInterval approximate_density choose_cutoff "
                     "convergence_estimate delta_complete delta_small tail_bound"),
-        ("oracle", "ComponentInstance ComponentSummary FiniteGraphReport empirical_density "
-                   "exact_alpha_exhaustive exact_alpha_matching finite_graph_report"),
+        ("oracle", "ComponentInstance empirical_density exact_alpha_exhaustive "
+                   "exact_alpha_matching"),
         ("pair_sidon", "ExtremalPairSet PairParams PathDecomposition build_path_decomposition "
                        "construct_extremal_set is_pair_multiplicative pair_density path_alpha "
                        "reduce_pair"),

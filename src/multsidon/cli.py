@@ -90,7 +90,7 @@ MAX_EMPIRICAL_N = 10**12
 # under the limit, a = 6 with 4300-digit b and c at n = 10**12 (8.7e7 bits),
 # takes 1.75 s and peaks near 27 MB.
 MAX_EMPIRICAL_BITS = 10**8
-# Re-solving every component by matching is O(n): about 1.8 s at n = 10**5.
+# Re-solving every component by matching is O(n): 0.7-1.3 s and 18 MB at n = 10**5.
 MAX_VERIFIED_N = 10**5
 # Fraction("1e-N") builds 10**N exactly, which takes about 10 s at N = 10**7.
 # 1e-100000 is refused in about 0.2 s, for a cutoff of 332229.

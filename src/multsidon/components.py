@@ -100,11 +100,6 @@ def f_value(params: TripleParams, height: int, cap: int) -> int:
     return plateaus[k - 1] if k else 0
 
 
-def cell_count(params: TripleParams, height: int, cap: int) -> int:
-    """Cells of the unit component of the given height with value <= cap."""
-    return bisect_right(_f_arrays(params, height)[0], cap)
-
-
 def q_copy_alpha(params: TripleParams, height: int, multiplier: int, n: int) -> int:
     """Independence number within [n] of the (height, multiplier) component.
 
@@ -135,31 +130,3 @@ def admissible_density(params: TripleParams) -> Fraction:
     """Natural density of the admissible multipliers: (a-1)(b-1)(c-1)/(abc)."""
     a, b, c = params.a, params.b, params.c
     return Fraction((a - 1) * (b - 1) * (c - 1), a * b * c)
-
-
-class ComponentId(namedtuple("ComponentId", "height multiplier kind")):
-    """A component (height, multiplier) classified relative to n and a cutoff.
-
-    kind is 'complete', 'small' or 'large'.
-    """
-
-    __slots__ = ()
-
-
-def classify_component(
-    params: TripleParams, height: int, multiplier: int, n: int, cutoff: int
-) -> ComponentId:
-    """Label a component intersecting [n] as complete, small or large.
-
-    Complete components lie entirely inside [n]; incomplete ones are small
-    or large according to whether their height exceeds the cutoff.
-    """
-    if params.a**height * multiplier > n:
-        raise ValueError("component does not intersect [n]")
-    if params.c**height * multiplier <= n:
-        kind = "complete"
-    elif height <= cutoff:
-        kind = "small"
-    else:
-        kind = "large"
-    return ComponentId(height=height, multiplier=multiplier, kind=kind)

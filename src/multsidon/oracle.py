@@ -8,8 +8,9 @@ to enumerate.  The finite graph on [n] is rebuilt explicitly so that the
 component decomposition, the step-function lookups and the closed forms
 can all be cross-checked against each other.  empirical_density sums
 alpha(G_n) over the rising values of the step functions, one
-admissible_count per rise, and walks and re-solves the components one by
-one only when n <= verify_upto.
+admissible_count per rise; when n <= verify_upto it also walks the
+components one by one, re-solves each, and checks their total against
+that sum.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .components import (
     TripleParams,
     _f_arrays,
     admissible_count,
-    cell_count,
-    classify_component,
     f_table,
     is_admissible,
     q_copy_alpha,
@@ -37,18 +36,6 @@ EXHAUSTIVE_LIMIT = 24
 
 class ComponentInstance(namedtuple("ComponentInstance", "height multiplier cells values")):
     """A component truncated to [n]: its cells by value, with their integer values."""
-
-    __slots__ = ()
-
-
-class ComponentSummary(namedtuple("ComponentSummary", "ident vertex_count alpha")):
-    """A component's ComponentId, its vertex count in [n] and its independence number."""
-
-    __slots__ = ()
-
-
-class FiniteGraphReport(namedtuple("FiniteGraphReport", "n components total_alpha ratio")):
-    """Decomposition of [n] with per-component independence numbers."""
 
     __slots__ = ()
 
@@ -171,40 +158,32 @@ def exact_alpha_exhaustive(num_vertices: int, edges: Iterable[tuple[int, int]]) 
     return search((1 << num_vertices) - 1)
 
 
-def finite_graph_report(
-    params: TripleParams,
-    n: int,
-    cutoff: int = 0,
-    verify: bool = False,
-) -> FiniteGraphReport:
-    """Per-component independence numbers for [n], classified by the cutoff.
+def _verify_components(params: TripleParams, n: int, total: int) -> None:
+    """Re-solve every component of G_n and check their alphas sum to total.
 
-    Alphas come from the parity step function; with verify=True each one is
-    recomputed by matching (and exhaustively on tiny components), raising
-    VerificationError on any disagreement.
+    Each component's parity alpha is recomputed by matching (and
+    exhaustively on tiny components); VerificationError is raised on any
+    disagreement, or when the per-component sum differs from total.
     """
-    summaries = []
+    summed = 0
     for p, q in component_ids(params, n):
         alpha = q_copy_alpha(params, p, q, n)
-        vertex_count = cell_count(params, p, n // q)
-        if verify:
-            cells = component_instance(params, p, q, n).cells
-            edges = grid_cell_edges(cells)
-            found = {"matching": exact_alpha_matching(len(cells), edges)}
-            if len(cells) <= EXHAUSTIVE_LIMIT:
-                found["exhaustive"] = exact_alpha_exhaustive(len(cells), edges)
-            for method, other in found.items():
-                if other != alpha:
-                    raise VerificationError(
-                        f"component (p={p}, q={q}): parity alpha {alpha} "
-                        f"!= {method} alpha {other}"
-                    )
-        ident = classify_component(params, p, q, n, cutoff)
-        summaries.append(ComponentSummary(ident=ident, vertex_count=vertex_count, alpha=alpha))
-    total = sum(s.alpha for s in summaries)
-    return FiniteGraphReport(
-        n=n, components=tuple(summaries), total_alpha=total, ratio=Fraction(total, n)
-    )
+        cells = component_instance(params, p, q, n).cells
+        edges = grid_cell_edges(cells)
+        found = {"matching": exact_alpha_matching(len(cells), edges)}
+        if len(cells) <= EXHAUSTIVE_LIMIT:
+            found["exhaustive"] = exact_alpha_exhaustive(len(cells), edges)
+        for method, other in found.items():
+            if other != alpha:
+                raise VerificationError(
+                    f"component (p={p}, q={q}): parity alpha {alpha} "
+                    f"!= {method} alpha {other}"
+                )
+        summed += alpha
+    if summed != total:
+        raise VerificationError(
+            f"alpha(G_{n}): per-component sum {summed} != rising-value sum {total}"
+        )
 
 
 def empirical_density(params: TripleParams, n: int, verify_upto: int) -> Fraction:
@@ -215,13 +194,12 @@ def empirical_density(params: TripleParams, n: int, verify_upto: int) -> Fractio
     q <= floor(n / v), so alpha(G_n) sums admissible_count(floor(n / v)) over
     the rising values v <= n of every height: one call per rise, after the
     unit triangles of the heights p with a**p <= n are built and sorted.
-    When n <= verify_upto, finite_graph_report sums per component instead
-    and re-solves each by matching, raising VerificationError on a mismatch.
+    When n <= verify_upto, every component is also re-solved by matching
+    and the per-component total checked against this sum, raising
+    VerificationError on any mismatch.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n <= verify_upto:
-        return finite_graph_report(params, n, verify=True).ratio
     total, p, power = 0, 0, 1
     while power <= n:
         previous = 0
@@ -232,6 +210,8 @@ def empirical_density(params: TripleParams, n: int, verify_upto: int) -> Fractio
                 total += admissible_count(params, n // value)
             previous = plateau
         p, power = p + 1, power * params.a
+    if n <= verify_upto:
+        _verify_components(params, n, total)
     return Fraction(total, n)
 
 

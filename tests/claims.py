@@ -4,19 +4,30 @@ The library computes the extremal pair set, the pair density and the
 certified triple-density interval.  The statements here back those results
 without being part of them: the explicit decomposition of [n], a maximum
 independent set read off it, the staircase lemma on random staircases, the
-simplified tail bound, the pair-set cardinality bracket and the floor-block
-sum of alpha(G_n).  The module is named so that pytest does not collect it;
-test modules import from it.
+simplified tail bound, the pair-set cardinality bracket, the floor-block
+sum of alpha(G_n), and finite_graph_report, which lists every component of
+[n] with its vertex count, its independence number (re-solved by matching
+on request) and a complete/small/large label.  The module is named so that
+pytest does not collect it; test modules import from it.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from multsidon.components import Coord, TripleParams, admissible_count, f_table
+from multsidon import VerificationError
+from multsidon.components import (
+    Coord,
+    TripleParams,
+    _f_arrays,
+    admissible_count,
+    f_table,
+    q_copy_alpha,
+)
 from multsidon.density import tail_bound
 from multsidon.oracle import (
     EXHAUSTIVE_LIMIT,
@@ -24,6 +35,7 @@ from multsidon.oracle import (
     component_ids,
     component_instance,
     exact_alpha_exhaustive,
+    exact_alpha_matching,
     grid_cell_edges,
 )
 from multsidon.pair_sidon import PairParams
@@ -153,3 +165,84 @@ def floor_block_alpha(params: TripleParams, n: int) -> int:
         total += multipliers * bisect_right(rises, m)
         q = last + 1
     return total
+
+
+def cell_count(params: TripleParams, height: int, cap: int) -> int:
+    """Cells of the unit component of the given height with value <= cap."""
+    return bisect_right(_f_arrays(params, height)[0], cap)
+
+
+class ComponentId(namedtuple("ComponentId", "height multiplier kind")):
+    """A component (height, multiplier) classified relative to n and a cutoff.
+
+    kind is 'complete', 'small' or 'large'.
+    """
+
+    __slots__ = ()
+
+
+def classify_component(
+    params: TripleParams, height: int, multiplier: int, n: int, cutoff: int
+) -> ComponentId:
+    """Label a component intersecting [n] as complete, small or large.
+
+    Complete components lie entirely inside [n]; incomplete ones are small
+    or large according to whether their height exceeds the cutoff.
+    """
+    if params.a**height * multiplier > n:
+        raise ValueError("component does not intersect [n]")
+    if params.c**height * multiplier <= n:
+        kind = "complete"
+    elif height <= cutoff:
+        kind = "small"
+    else:
+        kind = "large"
+    return ComponentId(height=height, multiplier=multiplier, kind=kind)
+
+
+class ComponentSummary(namedtuple("ComponentSummary", "ident vertex_count alpha")):
+    """A component's ComponentId, its vertex count in [n] and its independence number."""
+
+    __slots__ = ()
+
+
+class FiniteGraphReport(namedtuple("FiniteGraphReport", "n components total_alpha ratio")):
+    """Decomposition of [n] with per-component independence numbers."""
+
+    __slots__ = ()
+
+
+def finite_graph_report(
+    params: TripleParams,
+    n: int,
+    cutoff: int = 0,
+    verify: bool = False,
+) -> FiniteGraphReport:
+    """Per-component independence numbers for [n], classified by the cutoff.
+
+    Alphas come from the parity step function; with verify=True each one is
+    recomputed by matching (and exhaustively on tiny components), raising
+    VerificationError on any disagreement.
+    """
+    summaries = []
+    for p, q in component_ids(params, n):
+        alpha = q_copy_alpha(params, p, q, n)
+        vertex_count = cell_count(params, p, n // q)
+        if verify:
+            cells = component_instance(params, p, q, n).cells
+            edges = grid_cell_edges(cells)
+            found = {"matching": exact_alpha_matching(len(cells), edges)}
+            if len(cells) <= EXHAUSTIVE_LIMIT:
+                found["exhaustive"] = exact_alpha_exhaustive(len(cells), edges)
+            for method, other in found.items():
+                if other != alpha:
+                    raise VerificationError(
+                        f"component (p={p}, q={q}): parity alpha {alpha} "
+                        f"!= {method} alpha {other}"
+                    )
+        ident = classify_component(params, p, q, n, cutoff)
+        summaries.append(ComponentSummary(ident=ident, vertex_count=vertex_count, alpha=alpha))
+    total = sum(s.alpha for s in summaries)
+    return FiniteGraphReport(
+        n=n, components=tuple(summaries), total_alpha=total, ratio=Fraction(total, n)
+    )

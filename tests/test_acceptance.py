@@ -30,7 +30,6 @@ from multsidon import (
     delta_small,
     empirical_density,
     f_value,
-    finite_graph_report,
     is_pair_multiplicative,
     path_alpha,
     reduce_pair,
@@ -39,7 +38,13 @@ from multsidon import (
 from multsidon.cli import main
 from multsidon.components import admissible_density
 
-from claims import exact_tail_within_simplified, floor_log, random_staircase, staircase_lemma_check
+from claims import (
+    exact_tail_within_simplified,
+    finite_graph_report,
+    floor_log,
+    random_staircase,
+    staircase_lemma_check,
+)
 
 TABLE = {
     (2, 3, 5): Fraction("0.7292"),

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multsidon.density
+import multsidon.oracle
 import multsidon.pair_sidon
 import multsidon.cli
 from multsidon import construct_extremal_set, reduce_pair
@@ -403,6 +404,18 @@ class TestEmpirical:
         assert verified["verified"] is True and fast["verified"] is False
         del verified["verified"], fast["verified"]
         assert verified == fast
+
+    def test_wrong_rising_value_sum_exits_3(self, capsys, monkeypatch):
+        count = multsidon.oracle.admissible_count
+        monkeypatch.setattr(multsidon.oracle, "admissible_count",
+                            lambda params, limit: count(params, limit) + (limit == 300))
+        for fmt in ("json", "csv", "plain"):
+            code, out, err = run_cli(
+                capsys, "empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "300",
+                "--verify-upto", "300", "--format", fmt,
+            )
+            assert (code, out) == (3, ""), fmt
+            assert err.startswith("verification failed: ") and "rising-value sum" in err, fmt
 
     def test_billion(self, capsys):
         report = run_json(

@@ -12,7 +12,6 @@ from multsidon import (
     admissible_count,
     admissible_density,
     alpha_complete,
-    classify_component,
     exact_alpha_exhaustive,
     f_table,
     f_value,
@@ -21,7 +20,7 @@ from multsidon import (
 from multsidon.components import sorted_cells
 from multsidon.oracle import component_instance, grid_cell_edges
 
-from claims import check_staircase
+from claims import check_staircase, classify_component
 
 T235 = TripleParams(2, 3, 5)
 

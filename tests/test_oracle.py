@@ -15,7 +15,6 @@ from multsidon import (
     empirical_density,
     exact_alpha_exhaustive,
     exact_alpha_matching,
-    finite_graph_report,
     path_alpha,
     reduce_pair,
 )
@@ -29,6 +28,7 @@ from multsidon.oracle import (
 
 from claims import (
     build_gn,
+    finite_graph_report,
     floor_block_alpha,
     parity_independent_set,
     random_staircase,
@@ -211,6 +211,22 @@ class TestEmpiricalDensity:
         )
         with pytest.raises(VerificationError):
             empirical_density(T235, 30, verify_upto=30)
+
+    @pytest.mark.parametrize(
+        "t, n", [(T235, 30), (T345, 999), (TripleParams(2, 3, 1000003), 5000)]
+    )
+    def test_wrong_rising_value_sum_raises_only_when_verified(self, monkeypatch, t, n):
+        import multsidon.oracle as oracle_module
+
+        exact = empirical_density(t, n, verify_upto=0)
+        count = oracle_module.admissible_count
+        # one off-by-one at limit n, the term of the rising value 1
+        monkeypatch.setattr(oracle_module, "admissible_count",
+                            lambda params, limit: count(params, limit) + (limit == n))
+        with pytest.raises(VerificationError, match="rising-value sum"):
+            empirical_density(t, n, verify_upto=n)
+        # an unverified run prints the wrong sum: only verified runs check it
+        assert empirical_density(t, n, verify_upto=n - 1) == exact + Fraction(1, n)
 
     def test_kind_split_covers_total(self):
         report = finite_graph_report(T235, 1000, cutoff=4)
