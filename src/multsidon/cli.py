@@ -85,12 +85,13 @@ MAX_DECIMAL_DIGITS = 4000
 MAX_PAIR_N = 10**7
 # empirical makes one admissible_count per rising value: 0.15 s at n = 10**12.
 MAX_EMPIRICAL_N = 10**12
-# The unit triangles of heights p <= H = floor(log_a n), all built and sorted,
-# hold about C(H + 3, 4) * (bits of a + b + c) bits.  The slowest input found
-# under the limit, a = 6 with 4300-digit b and c at n = 10**12 (8.7e7 bits),
-# takes 1.75 s and peaks near 27 MB.
+# The unit triangles of heights p <= H = floor(log_a n), built and sorted one
+# height at a time, hold about C(H + 3, 4) * (bits of a + b + c) bits in all.
+# The slowest input found under the limit, a = 6 with 4300-digit b and c at
+# n = 10**12 (8.7e7 bits), takes 0.9-1.9 s and peaks near 18 MB.
 MAX_EMPIRICAL_BITS = 10**8
-# Re-solving every component by matching is O(n): 0.7-1.3 s and 18 MB at n = 10**5.
+# Walking every component is O(n), with one matching per distinct truncated
+# component: 0.12-0.28 s and 18 MB at n = 10**5.
 MAX_VERIFIED_N = 10**5
 # Fraction("1e-N") builds 10**N exactly, which takes about 10 s at N = 10**7.
 # 1e-100000 is refused in about 0.2 s, for a cutoff of 332229.

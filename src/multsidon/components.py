@@ -25,8 +25,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 
 Coord = tuple[int, int]
 
@@ -68,18 +68,6 @@ def sorted_cells(params: TripleParams, height: int) -> list[tuple[int, int, int]
                   for x in range(height + 1) for y in range(height + 1 - x))
 
 
-@lru_cache(maxsize=None)
-def _f_arrays(params: TripleParams,
-              height: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Coord, ...]]:
-    """Sorted unit-component values, running best parity-class size, and the cells."""
-    cells = sorted_cells(params, height)
-    counts, plateaus = [0, 0], []
-    for _, x, y in cells:
-        counts[(x + y) % 2] += 1
-        plateaus.append(max(counts))
-    return tuple(v for v, _, _ in cells), tuple(plateaus), tuple((x, y) for _, x, y in cells)
-
-
 def f_table(params: TripleParams, height: int) -> tuple[tuple[int, int], ...]:
     """Step function r -> f(height, r) as (breakpoint, plateau) pairs.
 
@@ -89,15 +77,18 @@ def f_table(params: TripleParams, height: int) -> tuple[tuple[int, int], ...]:
     """
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
-    values, plateaus, _ = _f_arrays(params, height)
-    return tuple(zip(values, plateaus))
+    counts, table = [0, 0], []
+    for value, x, y in sorted_cells(params, height):
+        counts[(x + y) % 2] += 1
+        table.append((value, max(counts)))
+    return tuple(table)
 
 
 def f_value(params: TripleParams, height: int, cap: int) -> int:
-    """f(height, cap): truncated independence number by table lookup."""
-    values, plateaus, _ = _f_arrays(params, height)
-    k = bisect_right(values, cap)
-    return plateaus[k - 1] if k else 0
+    """f(height, cap): truncated independence number by bisecting f_table."""
+    table = f_table(params, height)
+    k = bisect_right(table, cap, key=itemgetter(0))
+    return table[k - 1][1] if k else 0
 
 
 def q_copy_alpha(params: TripleParams, height: int, multiplier: int, n: int) -> int:

@@ -4,13 +4,10 @@ The verifiers avoid the parity shortcut: maximum independent sets are
 recomputed from scratch, either by Koenig duality (|V| minus a maximum
 bipartite matching, valid because every component 2-colours by coordinate
 parity) or by branch-and-bound over vertex subsets for graphs small enough
-to enumerate.  The finite graph on [n] is rebuilt explicitly so that the
-component decomposition, the step-function lookups and the closed forms
-can all be cross-checked against each other.  empirical_density sums
-alpha(G_n) over the rising values of the step functions, one
-admissible_count per rise; when n <= verify_upto it also walks the
-components one by one, re-solves each, and checks their total against
-that sum.
+to enumerate.  empirical_density sums alpha(G_n) over the rising values of
+the step functions, one admissible_count per rise; when n <= verify_upto it
+also walks the components of [n], re-solves each distinct truncated
+component once, and checks the per-component total against that sum.
 """
 
 from __future__ import annotations
@@ -19,16 +16,17 @@ from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from operator import itemgetter
 
 from . import VerificationError
 from .components import (
     Coord,
     TripleParams,
-    _f_arrays,
     admissible_count,
     f_table,
     is_admissible,
     q_copy_alpha,
+    sorted_cells,
 )
 
 EXHAUSTIVE_LIMIT = 24
@@ -56,15 +54,15 @@ def component_ids(params: TripleParams, n: int) -> Iterator[tuple[int, int]]:
 
 def component_instance(params: TripleParams, height: int, q: int, n: int) -> ComponentInstance:
     """The cells of component (height, q) with values <= n: a prefix of the unit's."""
-    values, _, cells = _f_arrays(params, height)
-    k = bisect_right(values, n // q)
-    if not k:
+    cells = sorted_cells(params, height)
+    del cells[bisect_right(cells, n // q, key=itemgetter(0)):]
+    if not cells:
         raise ValueError("component does not intersect [n]")
     return ComponentInstance(
         height=height,
         multiplier=q,
-        cells=cells[:k],
-        values=tuple(v * q for v in values[:k]),
+        cells=tuple((x, y) for _, x, y in cells),
+        values=tuple(v * q for v, _, _ in cells),
     )
 
 
@@ -159,27 +157,35 @@ def exact_alpha_exhaustive(num_vertices: int, edges: Iterable[tuple[int, int]]) 
 
 
 def _verify_components(params: TripleParams, n: int, total: int) -> None:
-    """Re-solve every component of G_n and check their alphas sum to total.
+    """Re-solve the components of G_n and check their alphas sum to total.
 
-    Each component's parity alpha is recomputed by matching (and
-    exhaustively on tiny components); VerificationError is raised on any
-    disagreement, or when the per-component sum differs from total.
+    Component (p, q) truncated to [n] is q times the first k cells of height
+    p's unit triangle, k the number of unit values <= n // q, so each distinct
+    (p, k) is solved once, by matching (and exhaustively on tiny components).
+    VerificationError is raised when that disagrees with the parity alpha, or
+    when the verified alphas, one per component, do not sum to total.
     """
-    summed = 0
+    solved: dict[tuple[int, int], int] = {}
+    summed, height, values = 0, None, []
     for p, q in component_ids(params, n):
-        alpha = q_copy_alpha(params, p, q, n)
-        cells = component_instance(params, p, q, n).cells
-        edges = grid_cell_edges(cells)
-        found = {"matching": exact_alpha_matching(len(cells), edges)}
-        if len(cells) <= EXHAUSTIVE_LIMIT:
-            found["exhaustive"] = exact_alpha_exhaustive(len(cells), edges)
-        for method, other in found.items():
-            if other != alpha:
-                raise VerificationError(
-                    f"component (p={p}, q={q}): parity alpha {alpha} "
-                    f"!= {method} alpha {other}"
-                )
-        summed += alpha
+        if p != height:  # component_ids yields the heights in rising order
+            height, values = p, [v for v, _, _ in sorted_cells(params, p)]
+        key = p, bisect_right(values, n // q)
+        if key not in solved:
+            alpha = q_copy_alpha(params, p, q, n)
+            cells = component_instance(params, p, q, n).cells
+            edges = grid_cell_edges(cells)
+            found = {"matching": exact_alpha_matching(len(cells), edges)}
+            if len(cells) <= EXHAUSTIVE_LIMIT:
+                found["exhaustive"] = exact_alpha_exhaustive(len(cells), edges)
+            for method, other in found.items():
+                if other != alpha:
+                    raise VerificationError(
+                        f"component (p={p}, q={q}): parity alpha {alpha} "
+                        f"!= {method} alpha {other}"
+                    )
+            solved[key] = alpha
+        summed += solved[key]
     if summed != total:
         raise VerificationError(
             f"alpha(G_{n}): per-component sum {summed} != rising-value sum {total}"

@@ -23,10 +23,10 @@ from multsidon import VerificationError
 from multsidon.components import (
     Coord,
     TripleParams,
-    _f_arrays,
     admissible_count,
     f_table,
     q_copy_alpha,
+    sorted_cells,
 )
 from multsidon.density import tail_bound
 from multsidon.oracle import (
@@ -169,7 +169,7 @@ def floor_block_alpha(params: TripleParams, n: int) -> int:
 
 def cell_count(params: TripleParams, height: int, cap: int) -> int:
     """Cells of the unit component of the given height with value <= cap."""
-    return bisect_right(_f_arrays(params, height)[0], cap)
+    return bisect_right([v for v, _, _ in sorted_cells(params, height)], cap)
 
 
 class ComponentId(namedtuple("ComponentId", "height multiplier kind")):

@@ -21,7 +21,7 @@ from multsidon import (
     tail_bound,
 )
 from multsidon import components, density
-from multsidon.components import _f_arrays, admissible_density, alpha_complete
+from multsidon.components import admissible_density, alpha_complete
 
 from claims import beta, exact_tail_within_simplified
 
@@ -150,9 +150,8 @@ def kernel_numerators(t: TripleParams, steps: list[int]) -> list[int]:
 
 
 def clear_caches() -> None:
-    """Forget every cached height and numerator."""
+    """Forget every cached numerator."""
     density._kernel.cache_clear()
-    _f_arrays.cache_clear()
 
 
 def naive_delta_small(t: TripleParams, cutoff: int) -> Fraction:
@@ -237,16 +236,11 @@ class TestDeltaSmall:
             cold[d] = delta_small(t, d)
         clear_caches()
         if request_order == "deep first":
-            f_table(t, 40)  # caches the cells of heights far above every cutoff
+            f_table(t, 40)  # sorts a height far above every cutoff first
         elif request_order == "deeper":
             components.sorted_cells(t, 120)
         for d in sorted(cutoffs, reverse=request_order == "falling"):
             assert delta_small(t, d) == cold[d], d
-
-    def test_leaves_f_table_cache_empty(self):
-        _f_arrays.cache_clear()
-        approximate_density(T235, eps=Fraction(1, 10**40))
-        assert _f_arrays.cache_info().currsize == 0
 
 
 class TestTwoWalkKernel:

@@ -28,6 +28,7 @@ from multsidon.oracle import (
 
 from claims import (
     build_gn,
+    cell_count,
     finite_graph_report,
     floor_block_alpha,
     parity_independent_set,
@@ -228,6 +229,26 @@ class TestEmpiricalDensity:
         # an unverified run prints the wrong sum: only verified runs check it
         assert empirical_density(t, n, verify_upto=n - 1) == exact + Fraction(1, n)
 
+    @pytest.mark.parametrize(
+        "t, graphs, components",
+        [(T235, 172, 53_333), (T345, 96, 60_000), (TripleParams(2, 3, 1000003), 83, 66_667)],
+    )
+    def test_verified_run_solves_each_truncated_component_once(
+        self, monkeypatch, t, graphs, components
+    ):
+        import multsidon.oracle as oracle_module
+
+        n = 10**5
+        ids = list(component_ids(t, n))
+        distinct = {(p, cell_count(t, p, n // q)) for p, q in ids}
+        assert (len(distinct), len(ids)) == (graphs, components)
+        sizes = []
+        matching = oracle_module.exact_alpha_matching
+        monkeypatch.setattr(oracle_module, "exact_alpha_matching",
+                            lambda size, edges: sizes.append(size) or matching(size, edges))
+        assert empirical_density(t, n, verify_upto=n) == empirical_density(t, n, verify_upto=0)
+        assert len(sizes) == len(distinct)
+
     def test_kind_split_covers_total(self):
         report = finite_graph_report(T235, 1000, cutoff=4)
         by_kind = {"complete": 0, "small": 0, "large": 0}
@@ -235,6 +256,16 @@ class TestEmpiricalDensity:
             by_kind[s.ident.kind] += s.alpha
         assert sum(by_kind.values()) == report.total_alpha
         assert by_kind["complete"] > 0 and by_kind["small"] > 0
+
+
+def test_components_and_oracle_hold_no_cache():
+    import multsidon.components as components_module
+    import multsidon.oracle as oracle_module
+
+    cached = [f"{module.__name__}.{name}"
+              for module in (components_module, oracle_module)
+              for name, value in vars(module).items() if hasattr(value, "cache_info")]
+    assert cached == []
 
 
 class TestGeneralMultiplicative:
