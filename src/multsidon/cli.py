@@ -6,8 +6,9 @@ sorted keys), csv (header plus rows) or plain text.  Rationals are
 serialised as exact "numerator/denominator" strings and all decimals are
 truncated, never rounded, with the digit count stated.  json.dumps renders
 every json report (pair-construct's members go into one bytearray, in place
-of an empty list), and _write sends each report to stdout's binary layer in
-one call; a stream with no binary layer, such as io.StringIO, gets text.
+of an empty list), and _write sends each report to stdout's binary layer,
+in one call unless it is raw (python -u); a stream with no binary layer,
+such as io.StringIO, gets text.
 
 Work is bounded up front: --digits must lie in [0, MAX_DECIMAL_DIGITS],
 pair-construct refuses n above MAX_PAIR_N, since it holds the whole set in
@@ -184,13 +185,18 @@ def _member_text(mask: bytes, sep: bytes, head: bytes, tail: bytes) -> bytearray
 
 
 def _write(data: bytes) -> None:
-    """Send one report to stdout's binary layer in one call, or as text if it has none."""
+    """Send one report to stdout's binary layer, or as text if it has none.
+
+    A raw layer (python -u) may take part of a write and return the count.
+    """
     binary = getattr(sys.stdout, "buffer", None)
     if binary is None:
         sys.stdout.write(data.decode())
         return
     sys.stdout.flush()
-    binary.write(data)
+    rest = memoryview(data)
+    while rest:
+        rest = rest[binary.write(rest):]
 
 
 def _emit(report: dict, rows: list[dict] | None, fmt: str, plain: str) -> None:

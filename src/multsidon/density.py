@@ -64,17 +64,18 @@ p <= 2u - 3.  Its term grows by ab per height:
 
 Every cell of the triangle lies in exactly one region, so
     N_p = B_p + T_p - alpha_complete(p) (ab)^p.
-The kernel of each TripleParams keeps its power tables, both lists of row
-starts, the walk counters, both sums, the pending top events and every
-finished N_p, so a larger cutoff computes only its new heights.
+The generator _numerators yields N_0, N_1, ... and keeps its power tables,
+row starts, walk counters, sums and pending top events in locals, so no
+state outlives a call; converge mode folds one generator for every cutoff.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache
+from itertools import count, islice
 from math import lcm
 
 from . import ConvergenceError
@@ -97,85 +98,68 @@ def delta_complete(params: TripleParams) -> Fraction:
     return Fraction((a - 1) * (b - 1) * c**3, a * b * (c - 1) ** 2 * (c + 1))
 
 
-class _Kernel:
-    """N_p of every height up to the largest cutoff asked, for one params.
+def _numerators(params: TripleParams) -> Iterator[int]:
+    """Yield N_0, N_1, ... of params, one height per step.
 
     rows and tops hold the heights at which the bottom and top rows start.
     A top cell whose rising range starts or ends above the height it enters
     at is filed in events under that height, with the sign its term takes.
     """
-
-    def __init__(self, params: TripleParams) -> None:
-        self._params = params
-        self._powers: tuple[list[int], list[int], list[int]] = ([1], [1], [1])
-        self._rows: list[int] = []
-        self._tops: list[int] = []
-        self.numerators: list[int] = []
-        self._diff = self._bottom_sum = self._u = self._top_sum = 0
-        self._events: dict[int, list[tuple[int, int, int]]] = {}  # height -> (x, j, +-1)
-
-    def extend(self, cutoff: int) -> None:
-        a, b, c = self._params.a, self._params.b, self._params.c
-        pa, pb, pc = self._powers
-        for powers, base in zip(self._powers, (a, b, c)):
-            while len(powers) < cutoff + 2:
-                powers.append(powers[-1] * base)
-        rows, tops, events = self._rows, self._tops, self._events
-        diff, bottom_sum, u, top_sum = self._diff, self._bottom_sum, self._u, self._top_sum
-        for p in range(len(self.numerators), cutoff + 1):
-            y = len(rows)
-            if pc[y] * pa[p + 1 - y] < pb[p + 1]:
-                rows.append(p)
-            bottom_sum *= b * c
-            # ascending value is descending term (abc)**p / value
-            band = sorted(((pa[x + y] * pb[p - x] * pc[p - y], x, y)
-                           for y, x in enumerate(p - start for start in rows)), reverse=True)
-            for term, x, y in band:
-                sign = 1 - 2 * ((x + y) & 1)  # +1 for even x + y
-                diff += sign
-                if diff * sign > 0:
-                    bottom_sum += term
-            j = len(tops)
-            if pc[j] * pb[p + 1] <= pc[p] * pa[j + 1]:
-                tops.append(p)
-            top_sum *= a * b
-            for x, j, sign in events.pop(p, ()):
-                top_sum += sign * pa[p - j] * pb[p - x] * pc[x + j]
-            band = sorted((pa[p - j] * pb[p - x] * pc[x + j], x, j)
-                          for j, x in enumerate(p - start for start in tops))
-            for term, x, j in band:
-                if j & 1:  # rises while p <= 2u - 3
-                    if p <= 2 * u - 3:
-                        top_sum += term
-                        events.setdefault(2 * u - 2, []).append((x, j, -1))
-                    u -= 1
-                else:  # rises once p >= 2u
-                    if p >= 2 * u:
-                        top_sum += term
-                    else:
-                        events.setdefault(2 * u, []).append((x, j, 1))
-                    u += 1
-            self.numerators.append(bottom_sum + top_sum - alpha_complete(p) * pa[p] * pb[p])
-        self._diff, self._bottom_sum, self._u, self._top_sum = diff, bottom_sum, u, top_sum
-
-
-@lru_cache(maxsize=None)
-def _kernel(params: TripleParams) -> _Kernel:
-    return _Kernel(params)
+    a, b, c = params.a, params.b, params.c
+    pa, pb, pc = [1], [1], [1]
+    rows: list[int] = []
+    tops: list[int] = []
+    events: dict[int, list[tuple[int, int, int]]] = {}  # height -> (x, j, +-1)
+    diff = bottom_sum = u = top_sum = 0
+    for p in count():
+        for powers, base in ((pa, a), (pb, b), (pc, c)):
+            powers.append(powers[-1] * base)
+        y = len(rows)
+        if pc[y] * pa[p + 1 - y] < pb[p + 1]:
+            rows.append(p)
+        bottom_sum *= b * c
+        # ascending value is descending term (abc)**p / value
+        band = sorted(((pa[x + y] * pb[p - x] * pc[p - y], x, y)
+                       for y, x in enumerate(p - start for start in rows)), reverse=True)
+        for term, x, y in band:
+            sign = 1 - 2 * ((x + y) & 1)  # +1 for even x + y
+            diff += sign
+            if diff * sign > 0:
+                bottom_sum += term
+        j = len(tops)
+        if pc[j] * pb[p + 1] <= pc[p] * pa[j + 1]:
+            tops.append(p)
+        top_sum *= a * b
+        for x, j, sign in events.pop(p, ()):
+            top_sum += sign * pa[p - j] * pb[p - x] * pc[x + j]
+        band = sorted((pa[p - j] * pb[p - x] * pc[x + j], x, j)
+                      for j, x in enumerate(p - start for start in tops))
+        for term, x, j in band:
+            if j & 1:  # rises while p <= 2u - 3
+                if p <= 2 * u - 3:
+                    top_sum += term
+                    events.setdefault(2 * u - 2, []).append((x, j, -1))
+                u -= 1
+            else:  # rises once p >= 2u
+                if p >= 2 * u:
+                    top_sum += term
+                else:
+                    events.setdefault(2 * u, []).append((x, j, 1))
+                u += 1
+        yield bottom_sum + top_sum - alpha_complete(p) * pa[p] * pb[p]
 
 
 def delta_small(params: TripleParams, cutoff: int) -> Fraction:
     """Exact density contribution of incomplete components of height <= cutoff.
 
-    The N_p are summed over the common denominator (abc)^cutoff in integers.
+    The N_p are summed over the common denominator (abc)^cutoff in integers:
+    O(cutoff**2) big-int products per call, and nothing is kept between calls.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    kernel = _kernel(params)
-    kernel.extend(cutoff)
     abc = params.a * params.b * params.c
     total = 0
-    for numerator in kernel.numerators[:cutoff + 1]:
+    for numerator in islice(_numerators(params), cutoff + 1):
         total = total * abc + numerator
     k = admissible_density(params)
     return Fraction(k.numerator * total, k.denominator * abc**cutoff)
@@ -304,19 +288,24 @@ def convergence_estimate(params: TripleParams, digits: int) -> ConvergenceEstima
 
     Increments the cutoff and compares the truncated rendering of
     delta_complete + delta_small across consecutive cutoffs, reporting the
-    value once it has survived STABLE_STEPS increments unchanged.  This
-    mode carries no certificate; use approximate_density for certified
+    value once it has survived STABLE_STEPS increments unchanged; one
+    _numerators walk adds height d only once _check_printable accepts d.
+    This mode carries no certificate; use approximate_density for certified
     output.
     """
     if not 1 <= digits <= MAX_CONVERGENCE_DIGITS:
         raise ValueError(f"digits must be in [1, {MAX_CONVERGENCE_DIGITS}]")
     dc = delta_complete(params)
     previous = truncated_decimal(dc, digits)
-    value = dc
     streak = 0
+    k = admissible_density(params)
+    abc = params.a * params.b * params.c
+    numerators = _numerators(params)
+    total = next(numerators)
     for d in range(1, MAX_CUTOFF + 1):
         _check_printable(params, d, dc)
-        value = dc + delta_small(params, d)
+        total = total * abc + next(numerators)  # as in delta_small(params, d)
+        value = dc + Fraction(k.numerator * total, k.denominator * abc**d)
         current = truncated_decimal(value, digits)
         streak = streak + 1 if current == previous else 0
         if streak >= STABLE_STEPS:

@@ -5,7 +5,8 @@ certified triple-density interval.  The statements here back those results
 without being part of them: the explicit decomposition of [n], a maximum
 independent set read off it, the staircase lemma on random staircases, the
 simplified tail bound, the pair-set cardinality bracket, the floor-block
-sum of alpha(G_n), and finite_graph_report, which lists every component of
+sum of alpha(G_n), converge mode as one delta_small per cutoff, and
+finite_graph_report, which lists every component of
 [n] with its vertex count, its independence number (re-solved by matching
 on request) and a complete/small/large label.  The module is named so that
 pytest does not collect it; test modules import from it.
@@ -19,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
-from multsidon import VerificationError
+from multsidon import ConvergenceError, VerificationError
 from multsidon.components import (
     Coord,
     TripleParams,
@@ -28,7 +29,16 @@ from multsidon.components import (
     q_copy_alpha,
     sorted_cells,
 )
-from multsidon.density import tail_bound
+from multsidon.density import (
+    MAX_CONVERGENCE_DIGITS,
+    MAX_CUTOFF,
+    STABLE_STEPS,
+    ConvergenceEstimate,
+    _check_printable,
+    delta_complete,
+    delta_small,
+    tail_bound,
+)
 from multsidon.oracle import (
     EXHAUSTIVE_LIMIT,
     ComponentInstance,
@@ -39,6 +49,7 @@ from multsidon.oracle import (
     grid_cell_edges,
 )
 from multsidon.pair_sidon import PairParams
+from multsidon.rational import truncated_decimal
 
 
 def build_gn(params: TripleParams, n: int) -> list[ComponentInstance]:
@@ -165,6 +176,35 @@ def floor_block_alpha(params: TripleParams, n: int) -> int:
         total += multipliers * bisect_right(rises, m)
         q = last + 1
     return total
+
+
+def reference_convergence_estimate(params: TripleParams, digits: int) -> ConvergenceEstimate:
+    """convergence_estimate as one delta_small call per cutoff.
+
+    The same STABLE_STEPS streak over the truncated decimals of
+    delta_complete + delta_small(params, d) for d = 1, 2, ..., each sum
+    computed afresh.
+    """
+    if not 1 <= digits <= MAX_CONVERGENCE_DIGITS:
+        raise ValueError(f"digits must be in [1, {MAX_CONVERGENCE_DIGITS}]")
+    dc = delta_complete(params)
+    previous = truncated_decimal(dc, digits)
+    value = dc
+    streak = 0
+    for d in range(1, MAX_CUTOFF + 1):
+        _check_printable(params, d, dc)
+        value = dc + delta_small(params, d)
+        current = truncated_decimal(value, digits)
+        streak = streak + 1 if current == previous else 0
+        if streak >= STABLE_STEPS:
+            return ConvergenceEstimate(
+                params=params, digits=digits, cutoff=d, value=value, decimal=current
+            )
+        previous = current
+    raise ConvergenceError(
+        f"({params.a}, {params.b}, {params.c}) at {digits} digits: "
+        f"no stabilisation within cutoff {MAX_CUTOFF}"
+    )
 
 
 def cell_count(params: TripleParams, height: int, cap: int) -> int:

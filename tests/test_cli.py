@@ -686,8 +686,26 @@ class _RecordingText(io.TextIOWrapper):
         return super().write(text)
 
 
+class _PartialBuffer(io.BytesIO):
+    """A binary layer that takes at most 1,000 bytes per call, as a raw pipe may."""
+
+    def write(self, data):
+        return super().write(data[:1000])
+
+
 class TestWrite:
     """Each report reaches stdout in one write, to the binary layer when there is one."""
+
+    def test_a_layer_taking_part_of_each_write_gets_the_whole_report(self, capsys, monkeypatch):
+        command = "pair-construct --a 2 --b 3 --n 2500 --verify".split()
+        expected = run_cli(capsys, *command)
+        binary = _PartialBuffer()
+        stdout = io.TextIOWrapper(binary, encoding="ascii", newline="")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(command) == 0
+        monkeypatch.undo()
+        assert len(expected[1]) > 10_000
+        assert (0, binary.getvalue().decode("ascii"), "") == expected
 
     @pytest.mark.parametrize("command", REPORTS)
     def test_one_write_to_the_binary_layer(self, capsys, monkeypatch, command):

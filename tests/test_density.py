@@ -2,7 +2,9 @@
 against the per-height sign walk, a sort-and-divide numerator, Fraction
 telescoping and literal double sums, and tail-bound soundness."""
 
+import inspect
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -20,10 +22,10 @@ from multsidon import (
     f_value,
     tail_bound,
 )
-from multsidon import components, density
+from multsidon import density
 from multsidon.components import admissible_density, alpha_complete
 
-from claims import beta, exact_tail_within_simplified
+from claims import beta, exact_tail_within_simplified, reference_convergence_estimate
 
 TABLE_TRIPLES = [
     (2, 3, 5), (2, 3, 7), (2, 5, 7), (2, 5, 9), (2, 7, 9),
@@ -141,17 +143,9 @@ def sign_walk_numerator(t: TripleParams, height: int) -> int:
     return total - alpha_complete(height) * pa[height] * pb[height]
 
 
-def kernel_numerators(t: TripleParams, steps: list[int]) -> list[int]:
-    """N_0 .. N_max(steps) from a fresh kernel extended to each step in turn."""
-    kernel = density._Kernel(t)
-    for cutoff in steps:
-        kernel.extend(cutoff)
-    return kernel.numerators
-
-
-def clear_caches() -> None:
-    """Forget every cached numerator."""
-    density._kernel.cache_clear()
+def kernel_numerators(t: TripleParams, height: int) -> list[int]:
+    """N_0 .. N_height from the kernel's generator."""
+    return list(islice(density._numerators(t), height + 1))
 
 
 def naive_delta_small(t: TripleParams, cutoff: int) -> Fraction:
@@ -226,19 +220,11 @@ class TestDeltaSmall:
         assert delta_small(T235, 147) == sorted_cells_delta_small(T235, 147)
 
     @pytest.mark.parametrize("triple", [(2, 3, 5), (3, 7, 8)])
-    @pytest.mark.parametrize("request_order", ["rising", "falling", "deep first", "deeper"])
+    @pytest.mark.parametrize("request_order", ["rising", "falling"])
     def test_independent_of_request_order(self, triple, request_order):
         t = TripleParams(*triple)
         cutoffs = [0, 1, 2, 3, 7, 16, 25]
-        cold = {}
-        for d in cutoffs:
-            clear_caches()
-            cold[d] = delta_small(t, d)
-        clear_caches()
-        if request_order == "deep first":
-            f_table(t, 40)  # sorts a height far above every cutoff first
-        elif request_order == "deeper":
-            components.sorted_cells(t, 120)
+        cold = {d: delta_small(t, d) for d in cutoffs}
         for d in sorted(cutoffs, reverse=request_order == "falling"):
             assert delta_small(t, d) == cold[d], d
 
@@ -248,22 +234,10 @@ class TestTwoWalkKernel:
     @given(triple=st.sampled_from(KERNEL_TRIPLES), height=st.integers(0, 40))
     def test_equals_sign_walk(self, triple, height):
         t = TripleParams(*triple)
-        assert kernel_numerators(t, [height])[height] == sign_walk_numerator(t, height)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        triple=st.sampled_from(KERNEL_TRIPLES),
-        prefix=st.sampled_from([0, 1, 2, 5]),
-        cutoff=st.integers(0, 40),
-    )
-    def test_extending_one_height_at_a_time_equals_one_call(self, triple, prefix, cutoff):
-        t = TripleParams(*triple)
-        at_once = kernel_numerators(t, [cutoff])
-        assert kernel_numerators(t, list(range(cutoff + 1))) == at_once
-        assert kernel_numerators(t, [prefix, cutoff])[: cutoff + 1] == at_once
+        assert kernel_numerators(t, height)[height] == sign_walk_numerator(t, height)
 
     def test_deep_heights_equal_sign_walk(self):
-        numerators = kernel_numerators(T235, [147])
+        numerators = kernel_numerators(T235, 147)
         assert all(numerators[p] == sign_walk_numerator(T235, p) for p in range(0, 148, 7))
 
 
@@ -277,10 +251,12 @@ def in_top(t: TripleParams, p: int, x: int, j: int) -> bool:
 
 
 def row_starts(t: TripleParams, height: int) -> tuple[list[int], list[int]]:
-    """The kernel's bottom and top row starts after it reaches the height."""
-    kernel = density._Kernel(t)
-    kernel.extend(height)
-    return kernel._rows, kernel._tops
+    """The kernel's bottom and top row starts after it yields N_height."""
+    numerators = density._numerators(t)
+    for _ in range(height + 1):
+        next(numerators)
+    state = inspect.getgeneratorlocals(numerators)
+    return state["rows"], state["tops"]
 
 
 class TestWalksAndRegions:
@@ -474,6 +450,13 @@ class TestConvergenceEstimate:
         est = convergence_estimate(T235, 6)
         iv = approximate_density(T235, eps=Fraction(1, 10**8))
         assert iv.lower - Fraction(1, 10**6) <= est.value <= iv.upper
+
+    @pytest.mark.parametrize("triple", [*TABLE_TRIPLES, (2, 3, 1000003)])
+    def test_one_walk_equals_one_delta_small_per_cutoff(self, triple):
+        t = TripleParams(*triple)
+        for digits in range(1, 13):
+            expected = reference_convergence_estimate(t, digits)
+            assert convergence_estimate(t, digits) == expected, digits
 
     @pytest.mark.parametrize("digits", [0, 13, -2])
     def test_rejects_bad_digits(self, digits):

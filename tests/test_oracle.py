@@ -1,7 +1,9 @@
 """Oracle tests: the verification machinery itself gets verified here."""
 
+import pkgutil
 import random
 from fractions import Fraction
+from importlib import import_module
 from math import gcd
 
 import pytest
@@ -258,12 +260,15 @@ class TestEmpiricalDensity:
         assert by_kind["complete"] > 0 and by_kind["small"] > 0
 
 
-def test_components_and_oracle_hold_no_cache():
-    import multsidon.components as components_module
-    import multsidon.oracle as oracle_module
+def test_no_module_holds_a_cache():
+    import multsidon
 
+    modules = [import_module(f"multsidon.{info.name}")
+               for info in pkgutil.iter_modules(multsidon.__path__)]
+    assert {"multsidon.cli", "multsidon.density", "multsidon.oracle"} <= {
+        module.__name__ for module in modules}
     cached = [f"{module.__name__}.{name}"
-              for module in (components_module, oracle_module)
+              for module in [multsidon, *modules]
               for name, value in vars(module).items() if hasattr(value, "cache_info")]
     assert cached == []
 

@@ -4,6 +4,8 @@ Each case runs in a new `python -S` interpreter with PYTHONPATH=src, so the
 modules it reports are the ones the package itself pulled in.  Importing
 multsidon.cli loads argparse, fractions, json and multsidon.rational; each
 command imports its own layer when it runs, and csv only for --format csv.
+Stdout is buffered in every case but those run with -u, where its binary
+layer is a raw file.
 """
 
 import ast
@@ -29,10 +31,16 @@ stdout.write(f"{code} {' '.join(sys.modules)}")
 """
 
 
-def python(*args: str) -> subprocess.CompletedProcess:
+def environment() -> dict[str, str]:
+    """This process's environment with PYTHONPATH=src and PYTHONUNBUFFERED unset."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, "-S", *args], env=env, capture_output=True,
-                          timeout=60, check=False)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-S", *args], env=environment(),
+                          capture_output=True, timeout=60, check=False)
 
 
 def modules_after(*argv: str) -> set[str]:
@@ -86,18 +94,33 @@ COMMANDS = (
 )
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+# Under -u stdout's binary layer is a raw file, which may take part of a write.
+@pytest.mark.parametrize("fmt, flags",
+                         [("json", ()), ("csv", ()), ("plain", ()), ("json", ("-u",))],
+                         ids=["json", "csv", "plain", "json-unbuffered"])
 @pytest.mark.parametrize("command", COMMANDS)
-def test_fresh_interpreter_prints_the_in_process_bytes(capsys, tmp_path, command, fmt):
+def test_fresh_interpreter_prints_the_in_process_bytes(capsys, tmp_path, command, fmt, flags):
     set_file = tmp_path / "set.txt"
     set_file.write_text("1\n2\n6\n7\n", encoding="ascii")
     argv = [str(set_file) if arg == "SET_FILE" else arg for arg in command.split()]
     argv += ["--format", fmt]
     assert main(argv) == 0
     in_process = capsys.readouterr().out
-    result = python("-m", "multsidon.cli", *argv)
+    result = python(*flags, "-m", "multsidon.cli", *argv)
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout.decode() == in_process
+
+
+def test_unbuffered_run_whose_reader_closes_early_exits_2_without_traceback():
+    argv = "pair-construct --a 2 --b 3 --n 1000000".split()  # 8.9 MB, far over a pipe's buffer
+    with subprocess.Popen([sys.executable, "-S", "-u", "-m", "multsidon.cli", *argv],
+                          env=environment(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 2, err
+    assert "Broken pipe" in err and "Traceback" not in err
 
 
 def test_no_source_file_imports_dataclasses_or_typing():
