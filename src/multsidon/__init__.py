@@ -37,8 +37,7 @@ _HOMES = {
                        "f_table f_value q_copy_alpha"),
         ("density", "ConvergenceEstimate DensityInterval approximate_density choose_cutoff "
                     "convergence_estimate delta_complete delta_small tail_bound"),
-        ("oracle", "ComponentInstance empirical_density exact_alpha_exhaustive "
-                   "exact_alpha_matching"),
+        ("oracle", "empirical_density exact_alpha_exhaustive exact_alpha_matching"),
         ("pair_sidon", "ExtremalPairSet PairParams PathDecomposition build_path_decomposition "
                        "construct_extremal_set is_pair_multiplicative pair_density path_alpha "
                        "reduce_pair"),

@@ -18,7 +18,8 @@ unit triangles of more than MAX_EMPIRICAL_BITS bits of values.  The
 triple commands refuse a cutoff above density.MAX_CUTOFF (500), and an
 --eps whose decimal exponent exceeds MAX_EPS_EXPONENT in magnitude, before
 the Fraction is built, and a cutoff whose rationals are too long to print.
-check-set refuses over MAX_SET_MEMBERS lines, or |A||B||set| over MAX_CHECK_WORK.
+check-set refuses a file over MAX_SET_BYTES bytes or MAX_SET_MEMBERS lines, and
+|A||B||set| over MAX_CHECK_WORK, each number counted once per 64 bits, rounded up.
 
 Exit codes: 0 on success, 2 on invalid parameters, malformed input or a
 refused work size, 3 when an internal cross-check fails (which would
@@ -92,15 +93,24 @@ MAX_EMPIRICAL_N = 10**12
 # n = 10**12 (8.7e7 bits), takes 0.9-1.9 s and peaks near 18 MB.
 MAX_EMPIRICAL_BITS = 10**8
 # Walking every component is O(n), with one matching per distinct truncated
-# component: 0.12-0.28 s and 18 MB at n = 10**5.
+# component: 0.12-0.24 s of CPU and 16 MB at n = 10**5.
 MAX_VERIFIED_N = 10**5
 # Fraction("1e-N") builds 10**N exactly, which takes about 10 s at N = 10**7.
 # 1e-100000 is refused in about 0.2 s, for a cutoff of 332229.
 MAX_EPS_EXPONENT = 100_000
-# Reading 10**6 lines of members takes about 1.0 s and peaks near 120 MB.
+# check-set reads at most MAX_SET_BYTES of its file and refuses a longer file
+# before it parses a line, as int() takes about 0.1 ms per 4000-digit line.
+# Reading 10**6 lines of one digit takes about 0.4 s.
+MAX_SET_BYTES = 4 * 10**6
 MAX_SET_MEMBERS = 10**6
-# The witness search is O(|A| * |B| * |set|): 40 * 40 * 20,000 takes 2.2 s.
-MAX_CHECK_WORK = 3 * 10**7
+# The witness search makes |A| * |B| * |set| steps, each a product, a remainder
+# and, when b divides a*x, a quotient and a set lookup.  A step costs more on
+# longer numbers and in larger sets, so each number counts once per WORD_BITS
+# bits, rounded up: 500 members of 4000 digits count 104,000 times.  The slowest
+# input found under both limits, 200,000 members of 19 digits with A = 2..11
+# and B = {1}, takes 0.9-1.5 s and peaks near 43 MB.
+WORD_BITS = 64
+MAX_CHECK_WORK = 2 * 10**6
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -425,8 +435,12 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
 
 
 def _read_set_file(path: str) -> set[int]:
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_SET_BYTES + 1)
+    if len(data) > MAX_SET_BYTES:
+        raise ValueError(f"{path} is larger than {MAX_SET_BYTES} bytes")
     members = set()
-    with open(path, "r", encoding="ascii") as handle:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as handle:
         for lineno, line in enumerate(handle, start=1):
             if lineno > MAX_SET_MEMBERS:
                 raise ValueError(f"{path} has more than {MAX_SET_MEMBERS} lines, one per member")
@@ -443,11 +457,17 @@ def _read_set_file(path: str) -> set[int]:
     return members
 
 
+def _words(values: set[int]) -> int:
+    """How many values there are, each counted once per WORD_BITS bits, rounded up."""
+    return sum(-(-v.bit_length() // WORD_BITS) for v in values)
+
+
 def _cmd_check_set(args: argparse.Namespace) -> int:
     members = _read_set_file(args.set_file)
-    work = len(set(args.A)) * len(set(args.B)) * len(members)
+    work = _words(set(args.A)) * _words(set(args.B)) * _words(members)
     if work > MAX_CHECK_WORK:
-        raise ValueError(f"|A| * |B| * |set| = {work} exceeds the limit of {MAX_CHECK_WORK}")
+        raise ValueError(f"|A| * |B| * |set| = {work} exceeds the limit of {MAX_CHECK_WORK}, "
+                         f"each number counted once per {WORD_BITS} bits, rounded up")
     witness = None
     if members:
         witness = general_multiplicative_witness(members, args.A, args.B)

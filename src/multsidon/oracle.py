@@ -7,16 +7,17 @@ parity) or by branch-and-bound over vertex subsets for graphs small enough
 to enumerate.  empirical_density sums alpha(G_n) over the rising values of
 the step functions, one admissible_count per rise; when n <= verify_upto it
 also walks the components of [n], re-solves each distinct truncated
-component once, and checks the per-component total against that sum.
+component once, its cells a prefix of its height's sorted unit triangle,
+and checks the per-component total against that sum.
+general_multiplicative_witness checks the {A,B} condition on any finite
+set of positive integers, the pair condition {a},{b} included.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from operator import itemgetter
 
 from . import VerificationError
 from .components import (
@@ -32,12 +33,6 @@ from .components import (
 EXHAUSTIVE_LIMIT = 24
 
 
-class ComponentInstance(namedtuple("ComponentInstance", "height multiplier cells values")):
-    """A component truncated to [n]: its cells by value, with their integer values."""
-
-    __slots__ = ()
-
-
 def component_ids(params: TripleParams, n: int) -> Iterator[tuple[int, int]]:
     """All (height, multiplier) pairs whose component intersects [n]."""
     if n < 1:
@@ -50,20 +45,6 @@ def component_ids(params: TripleParams, n: int) -> Iterator[tuple[int, int]]:
                 yield height, q
         power *= params.a
         height += 1
-
-
-def component_instance(params: TripleParams, height: int, q: int, n: int) -> ComponentInstance:
-    """The cells of component (height, q) with values <= n: a prefix of the unit's."""
-    cells = sorted_cells(params, height)
-    del cells[bisect_right(cells, n // q, key=itemgetter(0)):]
-    if not cells:
-        raise ValueError("component does not intersect [n]")
-    return ComponentInstance(
-        height=height,
-        multiplier=q,
-        cells=tuple((x, y) for _, x, y in cells),
-        values=tuple(v * q for v, _, _ in cells),
-    )
 
 
 def grid_cell_edges(cells: Sequence[Coord]) -> list[tuple[int, int]]:
@@ -161,19 +142,22 @@ def _verify_components(params: TripleParams, n: int, total: int) -> None:
 
     Component (p, q) truncated to [n] is q times the first k cells of height
     p's unit triangle, k the number of unit values <= n // q, so each distinct
-    (p, k) is solved once, by matching (and exhaustively on tiny components).
-    VerificationError is raised when that disagrees with the parity alpha, or
-    when the verified alphas, one per component, do not sum to total.
+    (p, k) is solved once, by matching (and exhaustively on tiny components),
+    on the first k cells of the triangle sorted once per height.
+    VerificationError is raised when that disagrees with the parity alpha,
+    which q_copy_alpha computes from its own f_table, or when the verified
+    alphas, one per component, do not sum to total.
     """
     solved: dict[tuple[int, int], int] = {}
-    summed, height, values = 0, None, []
+    summed, height, unit, values = 0, None, [], []
     for p, q in component_ids(params, n):
         if p != height:  # component_ids yields the heights in rising order
-            height, values = p, [v for v, _, _ in sorted_cells(params, p)]
-        key = p, bisect_right(values, n // q)
-        if key not in solved:
+            height, unit = p, sorted_cells(params, p)
+            values = [v for v, _, _ in unit]
+        k = bisect_right(values, n // q)
+        if (p, k) not in solved:
             alpha = q_copy_alpha(params, p, q, n)
-            cells = component_instance(params, p, q, n).cells
+            cells = [(x, y) for _, x, y in unit[:k]]
             edges = grid_cell_edges(cells)
             found = {"matching": exact_alpha_matching(len(cells), edges)}
             if len(cells) <= EXHAUSTIVE_LIMIT:
@@ -184,8 +168,8 @@ def _verify_components(params: TripleParams, n: int, total: int) -> None:
                         f"component (p={p}, q={q}): parity alpha {alpha} "
                         f"!= {method} alpha {other}"
                     )
-            solved[key] = alpha
-        summed += solved[key]
+            solved[p, k] = alpha
+        summed += solved[p, k]
     if summed != total:
         raise VerificationError(
             f"alpha(G_{n}): per-component sum {summed} != rising-value sum {total}"

@@ -14,8 +14,8 @@ independent set takes the vertices at even distance from each path source.
 Those vertices are exactly the even subpowers of b/g.
 
 construct_extremal_set sieves the set in one byte per x <= n and keeps it
-as that byte mask, so no int object is made per member unless the members
-are asked for; is_pair_multiplicative checks the condition on the mask.
+as that byte mask, with no int object per member; is_pair_multiplicative
+checks the condition on that mask and on no other kind of set.
 build_path_decomposition solves the edge relation in one sweep for the
 path length from each vertex onward, one byte per vertex, without building
 the paths: the independent optimum that pair-construct --verify compares
@@ -25,9 +25,8 @@ the cardinality with, which path_alpha counts off the odd lengths.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 
 
@@ -101,8 +100,7 @@ class _PathView(Sequence):
 class ExtremalPairSet(namedtuple("ExtremalPairSet", "n mask")):
     """The even subpowers of b_red inside [n], as a byte mask over [0, n].
 
-    mask[x] is 1 when x is a member and 0 otherwise; mask[0] is 0.  The
-    members are read off the mask, in ascending order, only when asked for.
+    mask[x] is 1 when x is a member and 0 otherwise; mask[0] is 0.
     """
 
     __slots__ = ()
@@ -121,10 +119,6 @@ class ExtremalPairSet(namedtuple("ExtremalPairSet", "n mask")):
     @property
     def cardinality(self) -> int:
         return self.mask.count(1)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(compress(range(self.n + 1), self.mask))
 
 
 def construct_extremal_set(params: PairParams, n: int) -> ExtremalPairSet:
@@ -148,39 +142,25 @@ def construct_extremal_set(params: PairParams, n: int) -> ExtremalPairSet:
     return ExtremalPairSet(n=n, mask=bytes(mask))
 
 
-def is_pair_multiplicative(
-    members: ExtremalPairSet | Iterable[int], a: int, b: int
-) -> bool:
+def is_pair_multiplicative(extremal: ExtremalPairSet, a: int, b: int) -> bool:
     """True iff no x, y in the set satisfy a*x == b*y.
 
     With a, b reduced by their gcd, a*x == b*y holds exactly when x == b*t
-    and y == a*t for some t >= 1, and t <= top // b for any top at least
-    the largest member.  So on a byte mask of the set over [0, top] the
-    condition is one AND of the strided slices mask[b*t] and mask[a*t],
-    t = 1 .. top // b, read as integers.  An ExtremalPairSet is checked on
-    its own mask, with top = n; any other set is first marked in a mask
-    over [0, max(members)], about one byte per integer up to its largest
-    member.  Either way the rest is the two slices.
+    and y == a*t for some t >= 1, and t <= n // b for members up to n.  So
+    the condition is one AND of the strided slices mask[b*t] and mask[a*t],
+    t = 1 .. n // b, of the set's own mask, read as integers.  Only an
+    ExtremalPairSet is accepted; oracle.general_multiplicative_witness
+    answers the same question for any finite set, with A = {a}, B = {b}.
     """
+    if not isinstance(extremal, ExtremalPairSet):
+        raise TypeError("is_pair_multiplicative checks an ExtremalPairSet")
     if not 1 <= a < b:
         raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    if isinstance(members, ExtremalPairSet):
-        mask = members.mask
-    else:
-        if not isinstance(members, Collection):
-            members = tuple(members)
-        if not members:
-            return True
-        if min(members) < 1:
-            raise ValueError("set members must be positive")
-        mask = bytearray(max(members) + 1)
-        for x in members:
-            mask[x] = 1
     g = gcd(a, b)
     a, b = a // g, b // g
-    k = (len(mask) - 1) // b
-    high = int.from_bytes(mask[b : b * k + 1 : b], "big")
-    low = int.from_bytes(mask[a : a * k + 1 : a], "big")
+    k = extremal.n // b
+    high = int.from_bytes(extremal.mask[b : b * k + 1 : b], "big")
+    low = int.from_bytes(extremal.mask[a : a * k + 1 : a], "big")
     return not high & low
 
 

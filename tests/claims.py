@@ -2,14 +2,16 @@
 
 The library computes the extremal pair set, the pair density and the
 certified triple-density interval.  The statements here back those results
-without being part of them: the explicit decomposition of [n], a maximum
-independent set read off it, the staircase lemma on random staircases, the
-simplified tail bound, the pair-set cardinality bracket, the floor-block
-sum of alpha(G_n), converge mode as one delta_small per cutoff, and
-finite_graph_report, which lists every component of
-[n] with its vertex count, its independence number (re-solved by matching
-on request) and a complete/small/large label.  The module is named so that
-pytest does not collect it; test modules import from it.
+without being part of them: the explicit decomposition of [n] into
+truncated components with their integer values, a maximum independent set
+read off it, the members of an extremal pair set as integers, the
+staircase lemma on random staircases, the simplified tail bound, the
+pair-set cardinality bracket, the floor-block sum of alpha(G_n), converge
+mode as one delta_small per cutoff, and finite_graph_report, which lists
+every component of [n] with its vertex count, its independence number
+(re-solved by matching on request) and a complete/small/large label.  The
+module is named so that pytest does not collect it; test modules import
+from it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import random
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 from typing import Sequence
 
 from multsidon import ConvergenceError, VerificationError
@@ -41,15 +45,38 @@ from multsidon.density import (
 )
 from multsidon.oracle import (
     EXHAUSTIVE_LIMIT,
-    ComponentInstance,
     component_ids,
-    component_instance,
     exact_alpha_exhaustive,
     exact_alpha_matching,
     grid_cell_edges,
 )
-from multsidon.pair_sidon import PairParams
+from multsidon.pair_sidon import ExtremalPairSet, PairParams
 from multsidon.rational import truncated_decimal
+
+
+class ComponentInstance(namedtuple("ComponentInstance", "height multiplier cells values")):
+    """A component truncated to [n]: its cells by value, with their integer values."""
+
+    __slots__ = ()
+
+
+def component_instance(params: TripleParams, height: int, q: int, n: int) -> ComponentInstance:
+    """The cells of component (height, q) with values <= n: a prefix of the unit's."""
+    cells = sorted_cells(params, height)
+    del cells[bisect_right(cells, n // q, key=itemgetter(0)):]
+    if not cells:
+        raise ValueError("component does not intersect [n]")
+    return ComponentInstance(
+        height=height,
+        multiplier=q,
+        cells=tuple((x, y) for _, x, y in cells),
+        values=tuple(v * q for v, _, _ in cells),
+    )
+
+
+def extremal_members(extremal: ExtremalPairSet) -> tuple[int, ...]:
+    """The members of an extremal pair set, read off its mask in ascending order."""
+    return tuple(compress(range(extremal.n + 1), extremal.mask))
 
 
 def build_gn(params: TripleParams, n: int) -> list[ComponentInstance]:

@@ -37,9 +37,11 @@ from multsidon import (
 )
 from multsidon.cli import main
 from multsidon.components import admissible_density
+from multsidon.oracle import general_multiplicative_witness
 
 from claims import (
     exact_tail_within_simplified,
+    extremal_members,
     finite_graph_report,
     floor_log,
     random_staircase,
@@ -181,9 +183,11 @@ def test_criterion_3_pair_exactness():
                 failures.append(f"({a},{b}) n={n}: {constructed} != {optimum}")
                 break
         # one violation inside T_2000 would also be a violation in T_n below it
-        members = construct_extremal_set(p, 2000).members
-        if not is_pair_multiplicative(members, a, b):
+        extremal = construct_extremal_set(p, 2000)
+        if not is_pair_multiplicative(extremal, a, b):
             failures.append(f"({a},{b}): T_2000 violates the condition")
+        if general_multiplicative_witness(extremal_members(extremal), [a], [b]) is not None:
+            failures.append(f"({a},{b}): the witness search finds a violation in T_2000")
         n = 10**6
         cardinality = construct_extremal_set(p, n).cardinality
         target = Fraction(b, b + p.g)

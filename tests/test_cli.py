@@ -24,12 +24,15 @@ from multsidon.cli import (
     MAX_EMPIRICAL_N,
     MAX_EPS_EXPONENT,
     MAX_PAIR_N,
+    MAX_SET_BYTES,
     MAX_SET_MEMBERS,
     MAX_VERIFIED_N,
     _member_text,
     main,
 )
 from multsidon.rational import format_rational, truncated_decimal
+
+from claims import extremal_members
 
 
 def run_cli(capsys, *argv):
@@ -171,7 +174,7 @@ class TestPairConstruct:
     def test_members_equal_library_renderings(self, capsys, a, b, n):
         """Whole stdout, json and csv, with and without --verify, against
         json.dumps and csv.DictWriter on the member list."""
-        members = list(construct_extremal_set(reduce_pair(a, b), n).members)
+        members = list(extremal_members(construct_extremal_set(reduce_pair(a, b), n)))
         reference = io.StringIO()
         writer = csv.DictWriter(reference, fieldnames=["member"])
         writer.writeheader()
@@ -551,6 +554,7 @@ class TestCheckSet:
         [
             (11, "2", "3", "has more than 10 lines, one per member"),
             (4, "2,4", "3,5", "|A| * |B| * |set| = 16 exceeds the limit of 15"),
+            (20, "2", "3", "is larger than 30 bytes"),  # 51 bytes, refused before parsing
         ],
     )
     def test_limits_exit_2_before_the_search(self, capsys, monkeypatch, tmp_path, members, A, B,
@@ -559,18 +563,58 @@ class TestCheckSet:
             raise AssertionError("the witness search may not run above the limits")
 
         monkeypatch.setattr(multsidon.cli, "general_multiplicative_witness", refuse)
+        monkeypatch.setattr(multsidon.cli, "MAX_SET_BYTES", 30)
         monkeypatch.setattr(multsidon.cli, "MAX_SET_MEMBERS", 10)
         monkeypatch.setattr(multsidon.cli, "MAX_CHECK_WORK", 15)
         path = self.write(tmp_path, range(1, members + 1))
         code, out, err = run_cli(capsys, "check-set", "--A", A, "--B", B, "--set-file", path)
         assert (code, out) == (2, "")
         assert message in err
-        assert (MAX_SET_MEMBERS, MAX_CHECK_WORK) == (10**6, 3 * 10**7)
+        assert (MAX_SET_BYTES, MAX_SET_MEMBERS, MAX_CHECK_WORK) == (4 * 10**6, 10**6, 2 * 10**6)
+
+    def test_long_members_are_refused_before_the_search(self, capsys, monkeypatch, tmp_path):
+        """500 members of 4000 digits make only 38 * 38 * 500 = 722,000 steps, but
+        each step multiplies and divides a 13,288-bit number: 208 words of 64 bits."""
+
+        def refuse(*args):
+            raise AssertionError("the witness search may not run above the limits")
+
+        monkeypatch.setattr(multsidon.cli, "general_multiplicative_witness", refuse)
+        path = self.write(tmp_path, (10**3999 + k for k in range(500)))
+        A = ",".join(map(str, range(2, 40)))
+        B = ",".join(map(str, range(41, 79)))
+        code, out, err = run_cli(capsys, "check-set", "--A", A, "--B", B, "--set-file", path)
+        assert (code, out) == (2, "")
+        assert f"|A| * |B| * |set| = {38 * 38 * 500 * 208} exceeds the limit of 2000000" in err
+        assert "each number counted once per 64 bits, rounded up" in err
+
+    @pytest.mark.parametrize(
+        "members, A, B, holds",
+        [
+            ([2**64 - 1], "2", "3", True),  # 64 bits: one word
+            ([2**64, 3], "2", "3", None),  # 65 bits: two words, 3 in all
+            ([2**64], "2", "3", True),
+            ([1], str(2**64), "3", True),
+            ([5], str(2**64), "3,7", None),
+        ],
+    )
+    def test_work_counts_each_number_once_per_64_bits(self, capsys, monkeypatch, tmp_path,
+                                                        members, A, B, holds):
+        monkeypatch.setattr(multsidon.cli, "MAX_CHECK_WORK", 2)
+        path = self.write(tmp_path, members)
+        code, out, err = run_cli(capsys, "check-set", "--A", A, "--B", B, "--set-file", path)
+        if holds is None:
+            assert (code, out) == (2, "")
+            assert "exceeds the limit of 2" in err
+        else:
+            assert code == 0 and json.loads(out)["multiplicative"] is holds
+
 
     def test_limits_are_inclusive(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(multsidon.cli, "MAX_SET_BYTES", 21)
         monkeypatch.setattr(multsidon.cli, "MAX_SET_MEMBERS", 10)
         monkeypatch.setattr(multsidon.cli, "MAX_CHECK_WORK", 40)
-        # 10 lines, and duplicates in A and B count once: 2 * 2 * 10 = 40
+        # 10 lines in 21 bytes, and duplicates in A and B count once: 2 * 2 * 10 = 40
         path = self.write(tmp_path, range(1, 11))
         report = run_json(capsys, "check-set", "--A", "7,7,11", "--B", "13,13,17",
                           "--set-file", path)

@@ -18,9 +18,9 @@ from multsidon import (
     q_copy_alpha,
 )
 from multsidon.components import sorted_cells
-from multsidon.oracle import component_instance, grid_cell_edges
+from multsidon.oracle import grid_cell_edges
 
-from claims import check_staircase, classify_component
+from claims import check_staircase, classify_component, component_instance
 
 T235 = TripleParams(2, 3, 5)
 

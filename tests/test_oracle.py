@@ -21,16 +21,12 @@ from multsidon import (
     reduce_pair,
 )
 from multsidon.components import q_copy_alpha
-from multsidon.oracle import (
-    component_ids,
-    component_instance,
-    general_multiplicative_witness,
-    grid_cell_edges,
-)
+from multsidon.oracle import component_ids, general_multiplicative_witness, grid_cell_edges
 
 from claims import (
     build_gn,
     cell_count,
+    component_instance,
     finite_graph_report,
     floor_block_alpha,
     parity_independent_set,

@@ -17,7 +17,9 @@ from multsidon import (
     reduce_pair,
 )
 
-from claims import cardinality_bounds, floor_log
+from multsidon.oracle import general_multiplicative_witness
+
+from claims import cardinality_bounds, extremal_members, floor_log
 
 
 def brute_force_max_pair_set(a: int, b: int, n: int) -> int:
@@ -27,7 +29,7 @@ def brute_force_max_pair_set(a: int, b: int, n: int) -> int:
     universe = range(1, n + 1)
     for size in range(n, best, -1):
         for subset in combinations(universe, size):
-            if is_pair_multiplicative(subset, a, b):
+            if is_pair_multiplicative(mask_set(subset, n), a, b):
                 return size
     return 0
 
@@ -53,6 +55,18 @@ def level_sieve_members(b: int, n: int) -> tuple[int, ...]:
         members.extend(power * y for y in range(1, n // power + 1) if y % b)
         power *= b * b
     return tuple(sorted(members))
+
+
+def mask_set(members, n: int | None = None) -> ExtremalPairSet:
+    """A finite set of positive integers as an ExtremalPairSet over [0, n].
+
+    n defaults to the largest member, or 0 for the empty set.
+    """
+    members = set(members)
+    mask = bytearray(max(members, default=0) + 1 if n is None else n + 1)
+    for x in members:
+        mask[x] = 1
+    return ExtremalPairSet(len(mask) - 1, bytes(mask))
 
 
 def definition_is_pair_multiplicative(members, a: int, b: int) -> bool:
@@ -159,21 +173,21 @@ class TestConstructExtremalSet:
     def test_two_three(self):
         p = reduce_pair(2, 3)
         s = construct_extremal_set(p, 10)
-        assert s.members == (1, 2, 4, 5, 7, 8, 9, 10)
+        assert extremal_members(s) == (1, 2, 4, 5, 7, 8, 9, 10)
         assert s.cardinality == 8
         assert s.cardinality == path_alpha(build_path_decomposition(p, 10))
 
     def test_double_free_matches_brute_force(self):
         p = reduce_pair(1, 2)
         s = construct_extremal_set(p, 10)
-        assert s.members == (1, 3, 4, 5, 7, 9)
+        assert extremal_members(s) == (1, 3, 4, 5, 7, 9)
         assert s.cardinality == brute_force_max_pair_set(1, 2, 10)
 
     @pytest.mark.parametrize("n", [1, 2, 17, 64, 100])
     def test_gcd_reduction_invariance(self, n):
         assert (
-            construct_extremal_set(reduce_pair(2, 4), n).members
-            == construct_extremal_set(reduce_pair(1, 2), n).members
+            construct_extremal_set(reduce_pair(2, 4), n)
+            == construct_extremal_set(reduce_pair(1, 2), n)
         )
 
     @pytest.mark.parametrize("a,b,n", [(1, 2, 12), (2, 3, 12), (1, 3, 12), (3, 5, 12)])
@@ -187,7 +201,7 @@ class TestConstructExtremalSet:
         expected = tuple(
             x for x in range(1, 501) if subpower_index(x, 3)[0] % 2 == 0
         )
-        assert s.members == expected
+        assert extremal_members(s) == expected
         assert s.cardinality == count_even_subpowers(3, 500)
 
     @settings(max_examples=60)
@@ -197,20 +211,20 @@ class TestConstructExtremalSet:
     @example(2, 2, 1)
     def test_equals_level_sieve(self, a, delta, n):
         p = reduce_pair(a, a + delta)
-        assert construct_extremal_set(p, n).members == level_sieve_members(p.b_red, n)
+        assert extremal_members(construct_extremal_set(p, n)) == level_sieve_members(p.b_red, n)
 
 
 class TestExtremalPairSet:
     def test_mask_of_the_constructed_set(self):
         s = construct_extremal_set(reduce_pair(2, 3), 10)
         assert s.mask == bytes([0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1])
-        assert s.members == tuple(x for x in range(11) if s.mask[x])
+        assert extremal_members(s) == tuple(x for x in range(11) if s.mask[x])
 
     @given(st.binary(max_size=300).map(lambda tail: b"\x00" + bytes(c & 1 for c in tail)))
     def test_members_and_cardinality_read_the_mask(self, mask):
         s = ExtremalPairSet(n=len(mask) - 1, mask=mask)
-        assert s.members == tuple(x for x in range(len(mask)) if mask[x] == 1)
-        assert s.cardinality == len(s.members)
+        assert extremal_members(s) == tuple(x for x in range(len(mask)) if mask[x] == 1)
+        assert s.cardinality == len(extremal_members(s))
 
     @pytest.mark.parametrize(
         "n,mask",
@@ -234,22 +248,32 @@ class TestExtremalPairSet:
 
 class TestIsPairMultiplicative:
     def test_direct_violation(self):
-        assert not is_pair_multiplicative({1, 2, 4}, 1, 2)
+        assert not is_pair_multiplicative(mask_set({1, 2, 4}), 1, 2)
 
     def test_constructed_set_passes(self):
-        p = reduce_pair(2, 3)
-        members = construct_extremal_set(p, 100).members
-        assert is_pair_multiplicative(members, 2, 3)
+        s = construct_extremal_set(reduce_pair(2, 3), 100)
+        assert is_pair_multiplicative(s, 2, 3)
+        assert general_multiplicative_witness(extremal_members(s), [2], [3]) is None
 
     def test_empty_set(self):
-        assert is_pair_multiplicative(set(), 3, 7)
+        assert is_pair_multiplicative(mask_set(set(), 10), 3, 7)
+        assert is_pair_multiplicative(mask_set(set()), 3, 7)
 
     def test_exhaustive_pair_check_agreement(self):
-        # hash-based check against the O(|S|^2) definition
-        members = construct_extremal_set(reduce_pair(2, 5), 60).members
+        # mask check against the O(|S|^2) definition
+        members = extremal_members(construct_extremal_set(reduce_pair(2, 5), 60))
         for candidate in (set(members), set(members) | {15}, {2, 5}):
             naive = all(2 * x != 5 * y for x in candidate for y in candidate)
-            assert is_pair_multiplicative(candidate, 2, 5) == naive
+            assert is_pair_multiplicative(mask_set(candidate), 2, 5) == naive
+
+    @pytest.mark.parametrize(
+        "members",
+        [{1, 3}, frozenset({2, 5}), (1, 2, 4), [], b"\x00\x01", range(1, 5)],
+        ids=["set", "frozenset", "tuple", "empty-list", "mask-bytes", "range"],
+    )
+    def test_rejects_a_plain_set(self, members):
+        with pytest.raises(TypeError, match="checks an ExtremalPairSet"):
+            is_pair_multiplicative(members, 2, 3)
 
     @settings(max_examples=200)
     @given(
@@ -263,9 +287,9 @@ class TestIsPairMultiplicative:
     @example(2, 3, 3, {10, 25})  # (6, 15): 6*25 == 15*10
     def test_equals_definition(self, a_red, delta, g, members):
         a, b = a_red * g, (a_red + delta) * g
-        assert is_pair_multiplicative(members, a, b) == definition_is_pair_multiplicative(
-            members, a, b
-        )
+        expected = definition_is_pair_multiplicative(members, a, b)
+        assert is_pair_multiplicative(mask_set(members), a, b) == expected
+        assert (general_multiplicative_witness(members, [a], [b]) is None) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -281,16 +305,16 @@ class TestIsPairMultiplicative:
     @example(2, 1, 1, 9, "other", 6)  # (2, 3): 9 = 3 * 3 and 6 = 2 * 3 is added
     @example(1, 1, 3, 2000, "max", 1)
     def test_mask_boundaries(self, a_red, delta, g, n, where, other):
-        """The constructed set plus one x <= n, against the definition.
+        """The constructed set plus one x <= n, on a mask over [0, max], against the definition.
 
         x = n may raise the mask's top, x = max(set) leaves it as is, and a
         violation at t = max // b_red sits at the end of both slices.
         """
         a, b = a_red * g, (a_red + delta) * g
-        members = set(construct_extremal_set(reduce_pair(a, b), n).members)
+        members = set(extremal_members(construct_extremal_set(reduce_pair(a, b), n)))
         members.add({"n": n, "max": max(members), "other": 1 + other % n}[where])
-        assert is_pair_multiplicative(members, a, b) == definition_is_pair_multiplicative(
-            members, a, b
+        assert is_pair_multiplicative(mask_set(members), a, b) == (
+            definition_is_pair_multiplicative(members, a, b)
         )
 
     @settings(max_examples=200, deadline=None)
@@ -305,7 +329,7 @@ class TestIsPairMultiplicative:
     @example(2, 1, 1, b"\x01\x01\x00\x01\x01\x00\x01\x01\x01", [])  # the extremal set
     @example(1, 2, 2, b"\x00" * 11, [4])  # (2, 6): 1*4 and 3*4 injected, t = n // 3
     def test_mask_equals_definition(self, a_red, delta, g, tail, violations):
-        """An ExtremalPairSet's own mask, against the definition and the set path.
+        """An ExtremalPairSet's own mask, against the definition and the witness search.
 
         Each t in violations with b_red*t <= n marks a_red*t and b_red*t.
         """
@@ -316,14 +340,10 @@ class TestIsPairMultiplicative:
             if (a_red + delta) * t <= n:
                 mask[a_red * t] = mask[(a_red + delta) * t] = 1
         s = ExtremalPairSet(n=n, mask=bytes(mask))
-        expected = definition_is_pair_multiplicative(s.members, a, b)
+        members = extremal_members(s)
+        expected = definition_is_pair_multiplicative(members, a, b)
         assert is_pair_multiplicative(s, a, b) == expected
-        assert is_pair_multiplicative(s.members, a, b) == expected
-
-    @pytest.mark.parametrize("members", [{0, 3}, {-4, 6}, [5, -1]])
-    def test_rejects_nonpositive_members(self, members):
-        with pytest.raises(ValueError):
-            is_pair_multiplicative(members, 2, 3)
+        assert (general_multiplicative_witness(members, [a], [b]) is None) == expected
 
 
 class TestPathDecomposition:
@@ -423,8 +443,8 @@ class TestPathAlpha:
         d = build_path_decomposition(p, 8)
         odd = {x for x in range(1, 9) if d.lengths[x] % 2}
         assert odd == {2, 5, 6, 7, 8}
-        assert set(construct_extremal_set(p, 8).members) == {1, 3, 4, 5, 7}
-        assert is_pair_multiplicative(odd, 1, 2)
+        assert set(extremal_members(construct_extremal_set(p, 8))) == {1, 3, 4, 5, 7}
+        assert is_pair_multiplicative(mask_set(odd, 8), 1, 2)
         assert path_alpha(d) == len(odd)
 
 
@@ -488,4 +508,4 @@ def test_construction_is_optimal_and_valid(a, delta, n):
     p = reduce_pair(a, b)
     s = construct_extremal_set(p, n)
     assert s.cardinality == path_alpha(build_path_decomposition(p, n))
-    assert is_pair_multiplicative(s.members, a, b)
+    assert is_pair_multiplicative(s, a, b)
