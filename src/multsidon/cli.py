@@ -302,6 +302,8 @@ def _cmd_triple_density(args: argparse.Namespace) -> int:
 
     params = TripleParams(args.a, args.b, args.c)
     if args.mode == "converge":
+        if args.eps is not None or args.d is not None:
+            raise ValueError("converge mode takes neither --eps nor --d")
         estimate = convergence_estimate(params, args.digits)
         report = {
             "command": "triple-density",

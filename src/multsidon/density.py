@@ -22,8 +22,8 @@ Each 1/v_k = a^(x+y) b^(p-x) c^(p-y) / (abc)^p, so height p adds one integer
 numerator N_p, and delta_S(d) = K * sum_p N_p (abc)^(d-p) / (abc)^d is
 accumulated by Horner's rule into a single Fraction.
 
-N_p needs no division and no sort of the whole triangle: all heights up
-to d cost O(d^2) big-int products and sorts of at most p + 1 cells.  Along
+N_p needs no division and no sort: all heights up to d cost O(d^2)
+multiplications by ac and one bisect per started row.  Along
 cells of rising value let diff = #even - #odd, by the parity of x + y,
 over the cells passed so far; f rises at a cell iff the cell moves diff
 away from 0, i.e. iff diff before it is 0 or has the cell's sign (+1 for
@@ -36,7 +36,11 @@ such p and stays, x heights after (0, r); the row starts rise strictly, so
 band p, the points entering at p, is (p - start[r], r), one per started
 row.  Its keys lie between t_(p-1) and t_p, above every earlier entrant:
 the bands in turn, each sorted, walk the plane by key, and the region of
-height p is that walk up to band p.
+height p is that walk up to band p.  As k(x, r) = s^x k(0, r), two rows'
+keys in band p differ by the factor s^(start[r'] - start[r]) k(0, r)/k(0, r'),
+which does not depend on p: a region keeps its started rows in one band
+order, a list of (term, parity) that a row enters once, by bisect at its
+start height, and a row's term in band p + 1 is ac times that in band p.
 
 Bottom: a * value < b^(p+1), i.e. w = (b/a)^x (c/a)^y < (b/a)^(p+1), with
 s = b/a < c/a.  Row y starts at the least p with c^y a^(p+1-y) < b^(p+1),
@@ -64,15 +68,16 @@ p <= 2u - 3.  Its term grows by ab per height:
 
 Every cell of the triangle lies in exactly one region, so
     N_p = B_p + T_p - alpha_complete(p) (ab)^p.
-The generator _numerators yields N_0, N_1, ... and keeps its power tables,
-row starts, walk counters, sums and pending top events in locals, so no
+The generator _numerators yields N_0, N_1, ... and keeps its row starts,
+band orders, walk counters, sums and pending top events in locals, so no
 state outlives a call; converge mode folds one generator for every cutoff.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import namedtuple
+from bisect import insort
+from collections import defaultdict, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count, islice
@@ -86,9 +91,9 @@ MAX_CONVERGENCE_DIGITS = 12
 # A single-step comparison stops too early when the limit sits just past a
 # digit boundary; four steps reproduce the reference table at four digits.
 STABLE_STEPS = 4
-# The kernel makes O(cutoff**2) big-int products: --d 500 takes 0.2 s on (2,3,5)
-# and 0.7 s on (2,3,1000003), on a 2-core Xeon with Python 3.11.  500 keeps the
-# same inputs accepted; _check_printable bounds the size of the numbers.
+# The kernel multiplies O(cutoff**2) terms by ac: --d 500 takes 0.12 s on (2,3,5)
+# and 0.2 s on (2,3,1000003) in a fresh process, on a 2-core Xeon with Python
+# 3.11.  500 keeps the same inputs accepted; _check_printable bounds the digits.
 MAX_CUTOFF = 500
 
 
@@ -101,52 +106,49 @@ def delta_complete(params: TripleParams) -> Fraction:
 def _numerators(params: TripleParams) -> Iterator[int]:
     """Yield N_0, N_1, ... of params, one height per step.
 
-    rows and tops hold the heights at which the bottom and top rows start.
-    A top cell whose rising range starts or ends above the height it enters
-    at is filed in events under that height, with the sign its term takes.
+    rows and tops hold the heights at which the bottom and top rows start,
+    bottom and top their band orders, and events, per height, the signed
+    terms, grown by ab per height, of the top cells that start or stop rising.
     """
     a, b, c = params.a, params.b, params.c
-    pa, pb, pc = [1], [1], [1]
+    ab, ac = a * b, a * c
     rows: list[int] = []
     tops: list[int] = []
-    events: dict[int, list[tuple[int, int, int]]] = {}  # height -> (x, j, +-1)
+    bottom: list[tuple[int, int]] = []  # (term, (x + y) & 1) per started row, by rising term
+    top: list[tuple[int, int]] = []  # (term, j & 1) per started row, by rising term
+    events: defaultdict[int, int] = defaultdict(int)  # height -> signed terms grown to it
     diff = bottom_sum = u = top_sum = 0
     for p in count():
-        for powers, base in ((pa, a), (pb, b), (pc, c)):
-            powers.append(powers[-1] * base)
+        bottom = [(term * ac, odd ^ 1) for term, odd in bottom]  # band p from band p - 1
+        top = [(term * ac, odd) for term, odd in top]
         y = len(rows)
-        if pc[y] * pa[p + 1 - y] < pb[p + 1]:
+        if c**y * a ** (p + 1 - y) < b ** (p + 1):
             rows.append(p)
+            insort(bottom, (a**y * b**p * c ** (p - y), y & 1))  # x = 0
         bottom_sum *= b * c
-        # ascending value is descending term (abc)**p / value
-        band = sorted(((pa[x + y] * pb[p - x] * pc[p - y], x, y)
-                       for y, x in enumerate(p - start for start in rows)), reverse=True)
-        for term, x, y in band:
-            sign = 1 - 2 * ((x + y) & 1)  # +1 for even x + y
+        for term, odd in reversed(bottom):  # ascending value is descending term
+            sign = 1 - 2 * odd  # +1 for even x + y
             diff += sign
             if diff * sign > 0:
                 bottom_sum += term
         j = len(tops)
-        if pc[j] * pb[p + 1] <= pc[p] * pa[j + 1]:
+        if c**j * b ** (p + 1) <= c**p * a ** (j + 1):
             tops.append(p)
-        top_sum *= a * b
-        for x, j, sign in events.pop(p, ()):
-            top_sum += sign * pa[p - j] * pb[p - x] * pc[x + j]
-        band = sorted((pa[p - j] * pb[p - x] * pc[x + j], x, j)
-                      for j, x in enumerate(p - start for start in tops))
-        for term, x, j in band:
-            if j & 1:  # rises while p <= 2u - 3
+            insort(top, (a ** (p - j) * b**p * c**j, j & 1))  # x = 0
+        top_sum = top_sum * ab + events.pop(p, 0)
+        for term, odd in top:
+            if odd:  # rises while p <= 2u - 3
                 if p <= 2 * u - 3:
                     top_sum += term
-                    events.setdefault(2 * u - 2, []).append((x, j, -1))
+                    events[2 * u - 2] -= term * ab ** (2 * u - 2 - p)
                 u -= 1
             else:  # rises once p >= 2u
                 if p >= 2 * u:
                     top_sum += term
                 else:
-                    events.setdefault(2 * u, []).append((x, j, 1))
+                    events[2 * u] += term * ab ** (2 * u - p)
                 u += 1
-        yield bottom_sum + top_sum - alpha_complete(p) * pa[p] * pb[p]
+        yield bottom_sum + top_sum - alpha_complete(p) * ab**p
 
 
 def delta_small(params: TripleParams, cutoff: int) -> Fraction:
@@ -223,10 +225,6 @@ class DensityInterval(namedtuple("DensityInterval", "params epsilon cutoff delta
     """Certified enclosure [lower, upper] of the maximum density."""
 
     __slots__ = ()
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
 
 
 def approximate_density(

@@ -264,8 +264,8 @@ def test_criterion_7_tail_soundness():
             failures.append(f"{triple}: simplified bound violated on [22, 200]")
         for eps in (Fraction(1, 10**3), Fraction(1, 10**4), Fraction(1, 10**5)):
             interval = approximate_density(t, eps=eps)
-            if interval.width > eps:
-                failures.append(f"{triple}: width {interval.width} > eps {eps}")
+            if interval.upper - interval.lower > eps:
+                failures.append(f"{triple}: width {interval.upper - interval.lower} > eps {eps}")
     report(7, failures, "monotone tails, simplified-bound domination, width <= eps")
 
 

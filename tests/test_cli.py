@@ -225,6 +225,20 @@ class TestTripleDensity:
         assert report["decimal"] == "0.7292"
         assert report["d"] >= 1
 
+    @pytest.mark.parametrize("flags", [("--eps", "1e-3"), ("--d", "7"),
+                                       ("--eps", "1e-3", "--d", "7")])
+    def test_converge_mode_refuses_eps_and_d_before_any_work(self, capsys, monkeypatch, flags):
+        def refuse(*args):
+            raise AssertionError("converge mode may not run with --eps or --d")
+
+        monkeypatch.setattr(multsidon.cli, "convergence_estimate", refuse)
+        code, out, err = run_cli(
+            capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5",
+            "--mode", "converge", "--digits", "4", *flags,
+        )
+        assert (code, out) == (2, "")
+        assert "converge mode takes neither --eps nor --d" in err
+
     def test_forced_cutoff(self, capsys):
         report = run_json(
             capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5", "--d", "8"

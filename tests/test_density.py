@@ -8,7 +8,7 @@ from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multsidon import (
@@ -144,6 +144,16 @@ def sign_walk_numerator(t: TripleParams, height: int) -> int:
     return total - alpha_complete(height) * pa[height] * pb[height]
 
 
+@st.composite
+def coprime_triples(draw) -> tuple[int, int, int]:
+    """Pairwise coprime 1 < a < b < c, with c up to 10^30."""
+    a = draw(st.integers(2, 30))
+    b = draw(st.integers(a + 1, 200))
+    c = draw(st.one_of(st.integers(b + 1, 300), st.integers(10**20, 10**30)))
+    assume(gcd(a, b) == gcd(a, c) == gcd(b, c) == 1)
+    return a, b, c
+
+
 def kernel_numerators(t: TripleParams, height: int) -> list[int]:
     """N_0 .. N_height from the kernel's generator."""
     return list(islice(density._numerators(t), height + 1))
@@ -231,8 +241,10 @@ class TestDeltaSmall:
 
 
 class TestTwoWalkKernel:
-    @settings(max_examples=80, deadline=None)
-    @given(triple=st.sampled_from(KERNEL_TRIPLES), height=st.integers(0, 40))
+    @settings(max_examples=120, deadline=None)
+    @given(triple=st.sampled_from(KERNEL_TRIPLES) | coprime_triples(), height=st.integers(0, 40))
+    @example(triple=(5, 10**20 + 1, 10**20 + 3), height=40)
+    @example(triple=(2, 3, 10**50 + 1), height=40)
     def test_equals_sign_walk(self, triple, height):
         t = TripleParams(*triple)
         assert kernel_numerators(t, height)[height] == sign_walk_numerator(t, height)
@@ -291,6 +303,24 @@ class TestWalksAndRegions:
             top += sorted(band, key=lambda q: top_term(p, *q))
         assert bottom == sorted(bottom, key=lambda q: bottom_term(height, *q), reverse=True)
         assert top == sorted(top, key=lambda q: top_term(height, *q))
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_band_orders_are_a_fresh_sort_of_each_band(self, triple):
+        """The kernel's bottom and top, one insertion per row and a factor ac per
+        height, equal at every height its band sorted afresh by term, each
+        entry with the parity of x + y (bottom) or of j (top)."""
+        t = TripleParams(*triple)
+        a, b, c = t.a, t.b, t.c
+        numerators = density._numerators(t)
+        for p in range(self.HEIGHT + 1):
+            next(numerators)
+            state = inspect.getgeneratorlocals(numerators)
+            bottom = [(a ** (x + y) * b ** (p - x) * c ** (p - y), (x + y) & 1)
+                      for y, x in enumerate(p - start for start in state["rows"])]
+            top = [(a ** (p - j) * b ** (p - x) * c ** (x + j), j & 1)
+                   for j, x in enumerate(p - start for start in state["tops"])]
+            assert state["bottom"] == sorted(bottom), p
+            assert state["top"] == sorted(top), p
 
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_each_cell_in_exactly_one_region(self, triple):
@@ -399,7 +429,7 @@ class TestApproximateDensity:
         iv = approximate_density(T235, eps=Fraction(1, 20000))
         assert iv.lower == iv.delta_complete + iv.delta_small
         assert iv.upper == iv.lower + iv.tail_bound
-        assert iv.width <= Fraction(1, 20000)
+        assert iv.upper - iv.lower <= Fraction(1, 20000)
         assert 0 < iv.lower <= iv.upper <= 1
         assert iv.lower >= iv.delta_complete
 

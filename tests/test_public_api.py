@@ -153,5 +153,5 @@ def test_equal_params_are_equal_and_hash_alike():
 
 def test_density_interval_width():
     interval = density.approximate_density(TripleParams(2, 3, 5), cutoff=20)
-    assert interval.width == interval.upper - interval.lower == interval.tail_bound
-    assert isinstance(interval.width, Fraction)
+    assert interval.upper - interval.lower == interval.tail_bound
+    assert isinstance(interval.upper - interval.lower, Fraction)

@@ -136,3 +136,13 @@ def test_no_source_file_imports_dataclasses_or_typing():
             offenders += [f"{path.name}: {name}" for name in names
                           if name.split(".")[0] in ("dataclasses", "typing")]
     assert not offenders, offenders
+
+
+def test_density_does_not_sort():
+    """The kernel walks each band in one kept row order: density calls neither sorted nor .sort."""
+    tree = ast.parse((SRC / "multsidon" / "density.py").read_text(encoding="utf-8"))
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    offenders = [f"line {func.lineno}" for func in calls
+                 if isinstance(func, ast.Name) and func.id == "sorted"
+                 or isinstance(func, ast.Attribute) and func.attr == "sort"]
+    assert not offenders, offenders
