@@ -13,8 +13,7 @@ such as io.StringIO, gets text.
 Work is bounded up front: --digits must lie in [0, MAX_DECIMAL_DIGITS],
 pair-construct refuses n above MAX_PAIR_N, since it holds the whole set in
 memory, and empirical refuses n above MAX_EMPIRICAL_N, or above
-MAX_VERIFIED_N when n <= --verify-upto asks for the O(n) cross-check, or
-unit triangles of more than MAX_EMPIRICAL_BITS bits of values.  The
+MAX_VERIFIED_N when n <= --verify-upto asks for the O(n) cross-check.  The
 triple commands refuse a cutoff above density.MAX_CUTOFF (500), and an
 --eps whose decimal exponent exceeds MAX_EPS_EXPONENT in magnitude, before
 the Fraction is built, and a cutoff whose rationals are too long to print.
@@ -45,7 +44,6 @@ import json
 import sys
 from fractions import Fraction
 from itertools import compress
-from math import comb
 
 from . import ConvergenceError, VerificationError
 from .rational import format_rational, truncated_decimal
@@ -87,11 +85,6 @@ MAX_DECIMAL_DIGITS = 4000
 MAX_PAIR_N = 10**7
 # empirical makes one admissible_count per rising value: 0.15 s at n = 10**12.
 MAX_EMPIRICAL_N = 10**12
-# The unit triangles of heights p <= H = floor(log_a n), built and sorted one
-# height at a time, hold about C(H + 3, 4) * (bits of a + b + c) bits in all.
-# The slowest input found under the limit, a = 6 with 4300-digit b and c at
-# n = 10**12 (8.7e7 bits), takes 0.9-1.9 s and peaks near 18 MB.
-MAX_EMPIRICAL_BITS = 10**8
 # Walking every component is O(n), with one matching per distinct truncated
 # component: 0.12-0.24 s of CPU and 16 MB at n = 10**5.
 MAX_VERIFIED_N = 10**5
@@ -404,13 +397,6 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
             f"--n {args.n} exceeds the limit of {MAX_VERIFIED_N} for a verified run "
             f"(n <= --verify-upto {args.verify_upto})"
         )
-    height, power = 0, args.a  # the largest height with a**height <= n
-    while 1 < power <= args.n:
-        height, power = height + 1, power * args.a
-    bits = comb(height + 3, 4) * sum(x.bit_length() for x in (args.a, args.b, args.c))
-    if bits > MAX_EMPIRICAL_BITS:
-        raise ValueError(f"the unit triangles of empirical at --n {args.n} hold about {bits} "
-                         f"bits of values, above the limit of {MAX_EMPIRICAL_BITS}")
     from .components import TripleParams
 
     params = TripleParams(args.a, args.b, args.c)
@@ -484,18 +470,19 @@ def _cmd_check_set(args: argparse.Namespace) -> int:
         if holds
         else {"a": witness[0], "b": witness[1], "x": witness[2], "y": witness[3]},
     }
+    if holds:
+        text, plain = "", f"set of {len(members)} elements is multiplicative for the given A, B"
+    else:
+        a, b, x, y = witness
+        text = f"{a}*{x} = {b}*{y}"  # not a*x, which may pass int-to-str's 4300-digit limit
+        plain = f"violation: {text}"
     row = {
         "A": ",".join(map(str, args.A)),
         "B": ",".join(map(str, args.B)),
         "size": len(members),
         "multiplicative": holds,
-        "witness": "" if holds else f"{witness[0]}*{witness[2]} = {witness[1]}*{witness[3]}",
+        "witness": text,
     }
-    if holds:
-        plain = f"set of {len(members)} elements is multiplicative for the given A, B"
-    else:
-        a, b, x, y = witness
-        plain = f"violation: {a}*{x} = {b}*{y} = {a * x}"
     _emit(report, [row] if args.format == "csv" else None, args.format, plain)
     return 0
 

@@ -15,18 +15,17 @@ maximum independent set.
 
 A cell's value is a**p * (b/a)**x * (c/a)**y, so a step back in x or y
 divides it by b/a or c/a.  Hence every truncation to values <= r is
-downward closed and a prefix of sorted_cells, along which the running size
-of the larger parity class is the truncated independence number f(p, r)
-of f_table and f_value.  The density kernel reads row bands instead.
+downward closed, and sorted_cells reads it row by row up to the cap r,
+each row cut at its first value above r.  In value order the running
+size of the larger parity class is the truncated independence number
+f(p, r) of f_table and f_value.  The density kernel reads row bands instead.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
 
 Coord = tuple[int, int]
 
@@ -61,34 +60,48 @@ def alpha_complete(height: int) -> int:
     return (i + 1) ** 2
 
 
-def sorted_cells(params: TripleParams, height: int) -> list[tuple[int, int, int]]:
-    """Cells (value, x, y) of the unit component of the given height, by value."""
-    pa, pb, pc = ([base**i for i in range(height + 1)] for base in (params.a, params.b, params.c))
-    return sorted((pa[height - x - y] * pb[x] * pc[y], x, y)
-                  for x in range(height + 1) for y in range(height + 1 - x))
+def sorted_cells(params: TripleParams, height: int, limit: int) -> list[tuple[int, int, int]]:
+    """Cells (value, x, y) of the unit component of the given height up to limit, by value."""
+    a, b, c = params.a, params.b, params.c
+    cells, start = [], a**height  # start is the value of cell (x, 0)
+    for x in range(height + 1):
+        if start > limit:
+            break
+        value = start
+        for y in range(height + 1 - x):
+            cells.append((value, x, y))
+            value = value // a * c  # a divides every value with x + y < height
+            if value > limit:
+                break
+        start = start // a * b
+    cells.sort()
+    return cells
 
 
-def f_table(params: TripleParams, height: int) -> tuple[tuple[int, int], ...]:
+def f_table(
+    params: TripleParams, height: int, limit: int | None = None
+) -> tuple[tuple[int, int], ...]:
     """Step function r -> f(height, r) as (breakpoint, plateau) pairs.
 
     f(p, r) is the independence number of the unit component of height p
     truncated to values <= r.  It equals plateau f_k for r in
     [v_k, v_{k+1}), is 0 below a**p, and alpha_complete(p) from c**p on.
+    The table holds the breakpoints <= limit, every one when limit is None.
     """
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
+    limit = params.c**height if limit is None else limit
     counts, table = [0, 0], []
-    for value, x, y in sorted_cells(params, height):
+    for value, x, y in sorted_cells(params, height, limit):
         counts[(x + y) % 2] += 1
         table.append((value, max(counts)))
     return tuple(table)
 
 
 def f_value(params: TripleParams, height: int, cap: int) -> int:
-    """f(height, cap): truncated independence number by bisecting f_table."""
-    table = f_table(params, height)
-    k = bisect_right(table, cap, key=itemgetter(0))
-    return table[k - 1][1] if k else 0
+    """f(height, cap): the last plateau of f_table up to cap, 0 below a**height."""
+    table = f_table(params, height, cap)
+    return table[-1][1] if table else 0
 
 
 def q_copy_alpha(params: TripleParams, height: int, multiplier: int, n: int) -> int:

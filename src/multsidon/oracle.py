@@ -5,10 +5,10 @@ recomputed from scratch, either by Koenig duality (|V| minus a maximum
 bipartite matching, valid because every component 2-colours by coordinate
 parity) or by branch-and-bound over vertex subsets for graphs small enough
 to enumerate.  empirical_density sums alpha(G_n) over the rising values of
-the step functions, one admissible_count per rise; when n <= verify_upto it
-also walks the components of [n], re-solves each distinct truncated
-component once, its cells a prefix of its height's sorted unit triangle,
-and checks the per-component total against that sum.
+the step functions, one admissible_count per rise, each unit triangle read
+up to n; when n <= verify_upto it also walks the components of [n],
+re-solves each distinct truncated component once, on a prefix of that
+triangle, and checks the per-component total against that sum.
 general_multiplicative_witness checks the {A,B} condition on any finite
 set of positive integers, the pair condition {a},{b} included.
 """
@@ -143,7 +143,7 @@ def _verify_components(params: TripleParams, n: int, total: int) -> None:
     Component (p, q) truncated to [n] is q times the first k cells of height
     p's unit triangle, k the number of unit values <= n // q, so each distinct
     (p, k) is solved once, by matching (and exhaustively on tiny components),
-    on the first k cells of the triangle sorted once per height.
+    on the first k cells of the triangle read once per height up to n >= n // q.
     VerificationError is raised when that disagrees with the parity alpha,
     which q_copy_alpha computes from its own f_table, or when the verified
     alphas, one per component, do not sum to total.
@@ -152,7 +152,7 @@ def _verify_components(params: TripleParams, n: int, total: int) -> None:
     summed, height, unit, values = 0, None, [], []
     for p, q in component_ids(params, n):
         if p != height:  # component_ids yields the heights in rising order
-            height, unit = p, sorted_cells(params, p)
+            height, unit = p, sorted_cells(params, p, n)
             values = [v for v, _, _ in unit]
         k = bisect_right(values, n // q)
         if (p, k) not in solved:
@@ -183,7 +183,7 @@ def empirical_density(params: TripleParams, n: int, verify_upto: int) -> Fractio
     values <= floor(n / q) at height p.  v <= floor(n / q) holds exactly when
     q <= floor(n / v), so alpha(G_n) sums admissible_count(floor(n / v)) over
     the rising values v <= n of every height: one call per rise, after the
-    unit triangles of the heights p with a**p <= n are built and sorted.
+    cells <= n of each height p with a**p <= n are read and sorted.
     When n <= verify_upto, every component is also re-solved by matching
     and the per-component total checked against this sum, raising
     VerificationError on any mismatch.
@@ -193,9 +193,7 @@ def empirical_density(params: TripleParams, n: int, verify_upto: int) -> Fractio
     total, p, power = 0, 0, 1
     while power <= n:
         previous = 0
-        for value, plateau in f_table(params, p):
-            if value > n:
-                break
+        for value, plateau in f_table(params, p, n):
             if plateau > previous:
                 total += admissible_count(params, n // value)
             previous = plateau

@@ -7,7 +7,8 @@ truncated components with their integer values, a maximum independent set
 read off it, the members of an extremal pair set as integers, the
 staircase lemma on random staircases, the simplified tail bound, the
 pair-set cardinality bracket, the floor-block sum of alpha(G_n), converge
-mode as one delta_small per cutoff, and finite_graph_report, which lists
+mode as one delta_small per cutoff, a Hypothesis strategy of coprime
+triples, and finite_graph_report, which lists
 every component of [n] with its vertex count, its independence number
 (re-solved by matching on request) and a complete/small/large label.  The
 module is named so that pytest does not collect it; test modules import
@@ -21,8 +22,10 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
-from operator import itemgetter
+from math import gcd
 from typing import Sequence
+
+from hypothesis import strategies as st
 
 from multsidon import ConvergenceError, VerificationError
 from multsidon.components import (
@@ -61,9 +64,8 @@ class ComponentInstance(namedtuple("ComponentInstance", "height multiplier cells
 
 
 def component_instance(params: TripleParams, height: int, q: int, n: int) -> ComponentInstance:
-    """The cells of component (height, q) with values <= n: a prefix of the unit's."""
-    cells = sorted_cells(params, height)
-    del cells[bisect_right(cells, n // q, key=itemgetter(0)):]
+    """The cells of component (height, q) with values <= n: the unit's up to n // q."""
+    cells = sorted_cells(params, height, n // q)
     if not cells:
         raise ValueError("component does not intersect [n]")
     return ComponentInstance(
@@ -72,6 +74,23 @@ def component_instance(params: TripleParams, height: int, q: int, n: int) -> Com
         cells=tuple((x, y) for _, x, y in cells),
         values=tuple(v * q for v, _, _ in cells),
     )
+
+
+@st.composite
+def coprime_triples(draw) -> tuple[int, int, int]:
+    """Pairwise coprime 1 < a < b < c, with c up to about 10^30.
+
+    b and c are raised to the next value coprime to the smaller bases, so
+    that no draw is filtered out.
+    """
+    a = draw(st.integers(2, 30))
+    b = draw(st.integers(a + 1, 200))
+    while gcd(a, b) != 1:
+        b += 1
+    c = draw(st.one_of(st.integers(b + 1, 300), st.integers(10**20, 10**30)))
+    while gcd(a * b, c) != 1:
+        c += 1
+    return a, b, c
 
 
 def extremal_members(extremal: ExtremalPairSet) -> tuple[int, ...]:
@@ -236,7 +255,7 @@ def reference_convergence_estimate(params: TripleParams, digits: int) -> Converg
 
 def cell_count(params: TripleParams, height: int, cap: int) -> int:
     """Cells of the unit component of the given height with value <= cap."""
-    return bisect_right([v for v, _, _ in sorted_cells(params, height)], cap)
+    return len(sorted_cells(params, height, cap))
 
 
 class ComponentId(namedtuple("ComponentId", "height multiplier kind")):

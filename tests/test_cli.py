@@ -17,10 +17,9 @@ import multsidon.density
 import multsidon.oracle
 import multsidon.pair_sidon
 import multsidon.cli
-from multsidon import construct_extremal_set, reduce_pair
+from multsidon import build_path_decomposition, construct_extremal_set, path_alpha, reduce_pair
 from multsidon.cli import (
     MAX_CHECK_WORK,
-    MAX_EMPIRICAL_BITS,
     MAX_EMPIRICAL_N,
     MAX_EPS_EXPONENT,
     MAX_PAIR_N,
@@ -32,7 +31,7 @@ from multsidon.cli import (
 )
 from multsidon.rational import format_rational, truncated_decimal
 
-from claims import extremal_members
+from claims import coprime_triples, extremal_members
 
 
 def run_cli(capsys, *argv):
@@ -482,36 +481,37 @@ class TestEmpirical:
             assert f"--n {n} " in err and f"limit of {limit} " in err
 
     @pytest.mark.parametrize(
-        "a, b, c, bits",
+        "a, b, c, alpha",
         [
-            # H = 39: C(42, 4) * (2 + 2 + 13953) bits
-            (2, 3, 10**4200 + 1, 1_562_207_010),
-            # H = 17: C(20, 4) * (3 + 14281 + 14281) bits
-            (5, 10**4299 + 1, 10**4299 + 3, 138_397_425),
+            # c > a * n, so only the (2,3) pair has edges: 3/4 of n
+            (2, 3, 10**4200 + 1, 750_000_000_000),
+            # b > a * n as well: no edge at all
+            (5, 10**4299 + 1, 10**4299 + 3, 10**12),
         ],
+        ids=["c=10^4200+1", "b,c=10^4299+1,+3"],
     )
-    def test_huge_bases_exit_2_before_any_work(self, capsys, monkeypatch, a, b, c, bits):
-        def refuse(*args, **kwargs):
-            raise AssertionError("nothing may be computed above the limit")
-
-        monkeypatch.setattr(multsidon.cli, "empirical_density", refuse)
+    def test_huge_bases_run_at_once(self, capsys, a, b, c, alpha):
         start = time.perf_counter()
-        code, out, err = run_cli(
+        report = run_json(
             capsys, "empirical", "--a", str(a), "--b", str(b), "--c", str(c), "--n", str(10**12)
         )
         assert time.perf_counter() - start < 1
-        assert (code, out) == (2, "")
-        assert f"about {bits} bits" in err and f"limit of {MAX_EMPIRICAL_BITS}" in err
-        assert MAX_EMPIRICAL_BITS == 10**8
+        assert report["alpha"] == alpha
 
-    def test_bits_limit_is_inclusive(self, capsys, monkeypatch):
-        # (2,3,5) holds C(H + 3, 4) * (2 + 2 + 3) bits: H = 9 up to n = 1023, 10 at 1024
-        monkeypatch.setattr(multsidon.cli, "MAX_EMPIRICAL_BITS", 495 * 7)
-        base = ("empirical", "--a", "2", "--b", "3", "--c", "5")
-        assert run_json(capsys, *base, "--n", "1023")["n"] == 1023
-        code, out, err = run_cli(capsys, *base, "--n", "1024")
-        assert (code, out) == (2, "")
-        assert f"about {715 * 7} bits" in err and f"limit of {495 * 7}" in err
+    @settings(max_examples=30, deadline=None)
+    @given(triple=coprime_triples(), n=st.integers(1, 10**6))
+    @example(triple=(2, 3, 5), n=10**6)
+    def test_c_above_a_n_gives_the_pair_optimum(self, triple, n):
+        # no cx = ay within [n] once c > a * n, so G_n is the {a},{b} graph
+        a, b, _ = triple
+        c = a * b * n + 1
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["empirical", "--a", str(a), "--b", str(b), "--c", str(c), "--n", str(n)])
+        assert code == 0
+        report = json.loads(out.getvalue())
+        pair = build_path_decomposition(reduce_pair(a, b), n)
+        assert report["alpha"] == path_alpha(pair)
 
     def test_negative_verify_upto_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -543,6 +543,19 @@ class TestCheckSet:
                           "--set-file", path)
         assert report["multiplicative"] is False
         assert report["witness"] == {"a": 2, "b": 3, "x": 3, "y": 2}
+
+    def test_violation_with_a_product_past_the_digit_limit(self, capsys, tmp_path):
+        # a*x = 10**4350 has more digits than int-to-str converts; no format prints it
+        path = self.write(tmp_path, [10**4250, 10**4150])
+        argv = ("check-set", "--A", str(10**100), "--B", str(10**200), "--set-file", path)
+        assert run_json(capsys, *argv)["witness"] == {
+            "a": 10**100, "b": 10**200, "x": 10**4250, "y": 10**4150}
+        witness = f"{10**100}*{10**4250} = {10**200}*{10**4150}"
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        assert list(csv.DictReader(io.StringIO(out)))[0]["witness"] == witness
+        code, out, err = run_cli(capsys, *argv, "--format", "plain")
+        assert (code, out) == (0, f"violation: {witness}\n"), err
 
     def test_empty_file(self, capsys, tmp_path):
         path = self.write(tmp_path, [])

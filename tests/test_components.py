@@ -4,7 +4,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multsidon import (
@@ -20,7 +20,7 @@ from multsidon import (
 from multsidon.components import sorted_cells
 from multsidon.oracle import grid_cell_edges
 
-from claims import check_staircase, classify_component, component_instance
+from claims import check_staircase, classify_component, component_instance, coprime_triples
 
 T235 = TripleParams(2, 3, 5)
 
@@ -65,7 +65,15 @@ def plain_sorted_cells(params: TripleParams, height: int) -> list[tuple[int, int
 
 def truncation(params: TripleParams, height: int, cap: int) -> list[tuple[int, int]]:
     """Cells (x, y) of the unit component of the given height with value <= cap."""
-    return [(x, y) for v, x, y in sorted_cells(params, height) if v <= cap]
+    return [(x, y) for v, x, y in plain_sorted_cells(params, height) if v <= cap]
+
+
+def edge_caps(params: TripleParams, height: int) -> list[int]:
+    """0, a^h - 1, a^h, every cell value and its neighbours, and c^h."""
+    values = [v for v, _, _ in plain_sorted_cells(params, height)]
+    low = params.a**height
+    return sorted({0, low - 1, low, params.c**height}
+                  | {v + d for v in values for d in (-1, 0, 1)})
 
 
 def exhaustive_alpha(cells: list[tuple[int, int]]) -> int:
@@ -148,7 +156,7 @@ class TestDecompose:
 
 class TestGridComponent:
     def test_extreme_values(self):
-        cells = sorted_cells(T235, 3)
+        cells = sorted_cells(T235, 3, 5**3)
         assert cells[0] == (2**3, 0, 0)
         assert cells[-1] == (5**3, 0, 3)
         values = component_instance(T235, 3, 7, 5**3 * 7).values
@@ -156,7 +164,7 @@ class TestGridComponent:
 
     @pytest.mark.parametrize("t", [T235, TripleParams(3, 4, 5), TripleParams(2, 7, 9)])
     def test_value_map_injective_up_to_height_50(self, t):
-        cells = sorted_cells(t, 50)
+        cells = sorted_cells(t, 50, t.c**50)
         assert len({v for v, _, _ in cells}) == len(cells) == 51 * 52 // 2
         assert {(x, y) for _, x, y in cells} == {
             (x, y) for x in range(51) for y in range(51 - x)
@@ -170,22 +178,45 @@ class TestSortedCells:
     def test_rising_heights_equal_plain_sort(self, triple):
         t = TripleParams(*triple)
         for height in range(51):
-            assert sorted_cells(t, height) == plain_sorted_cells(t, height), height
+            assert sorted_cells(t, height, t.c**height) == plain_sorted_cells(t, height), height
 
     @pytest.mark.parametrize("triple", TRIPLES)
     def test_high_height_first_equals_plain_sort(self, triple):
         t = TripleParams(*triple)
-        assert sorted_cells(t, 50) == plain_sorted_cells(t, 50)
+        assert sorted_cells(t, 50, t.c**50) == plain_sorted_cells(t, 50)
         for height in range(50, -1, -3):
-            assert sorted_cells(t, height) == plain_sorted_cells(t, height), height
+            assert sorted_cells(t, height, t.c**height) == plain_sorted_cells(t, height), height
 
     def test_negative_height_is_empty(self):
-        assert sorted_cells(T235, -1) == []
+        assert sorted_cells(T235, -1, 10) == []
+
+    @settings(max_examples=20, deadline=None)
+    @given(triple=coprime_triples(), height=st.integers(0, 30))
+    @example(triple=(2, 3, 5), height=30)
+    @example(triple=(5, 10**20 + 1, 10**20 + 3), height=30)
+    def test_capped_equals_filtered_triangle(self, triple, height):
+        t = TripleParams(*triple)
+        whole = plain_sorted_cells(t, height)
+        for cap in edge_caps(t, height):
+            assert sorted_cells(t, height, cap) == [cell for cell in whole if cell[0] <= cap], cap
+
+    @settings(max_examples=20, deadline=None)
+    @given(triple=coprime_triples(), height=st.integers(0, 30))
+    @example(triple=(2, 3, 5), height=30)
+    def test_f_value_equals_parity_count(self, triple, height):
+        t = TripleParams(*triple)
+        whole = plain_sorted_cells(t, height)
+        for cap in edge_caps(t, height):
+            counts = [0, 0]
+            for value, x, y in whole:
+                if value <= cap:
+                    counts[(x + y) % 2] += 1
+            assert f_value(t, height, cap) == max(counts), cap
 
 
 class TestParityAlpha:
     def test_truncated_at_ten(self):
-        assert [v for v, _, _ in sorted_cells(T235, 2) if v <= 10] == [4, 6, 9, 10]
+        assert [v for v, _, _ in sorted_cells(T235, 2, 10)] == [4, 6, 9, 10]
         assert f_value(T235, 2, 10) == 2
         assert exhaustive_alpha(truncation(T235, 2, 10)) == 2
 

@@ -26,7 +26,12 @@ from multsidon import density
 from multsidon.components import admissible_density, alpha_complete
 from multsidon.rational import truncated_decimal
 
-from claims import beta, exact_tail_within_simplified, reference_convergence_estimate
+from claims import (
+    beta,
+    coprime_triples,
+    exact_tail_within_simplified,
+    reference_convergence_estimate,
+)
 
 TABLE_TRIPLES = [
     (2, 3, 5), (2, 3, 7), (2, 5, 7), (2, 5, 9), (2, 7, 9),
@@ -142,16 +147,6 @@ def sign_walk_numerator(t: TripleParams, height: int) -> int:
                 by_x[x] += row[y]
     total = sum(pa[x] * pb[height - x] * by_x[x] for x in range(height + 1))
     return total - alpha_complete(height) * pa[height] * pb[height]
-
-
-@st.composite
-def coprime_triples(draw) -> tuple[int, int, int]:
-    """Pairwise coprime 1 < a < b < c, with c up to 10^30."""
-    a = draw(st.integers(2, 30))
-    b = draw(st.integers(a + 1, 200))
-    c = draw(st.one_of(st.integers(b + 1, 300), st.integers(10**20, 10**30)))
-    assume(gcd(a, b) == gcd(a, c) == gcd(b, c) == 1)
-    return a, b, c
 
 
 def kernel_numerators(t: TripleParams, height: int) -> list[int]:
