@@ -25,10 +25,12 @@ refused work size, 3 when an internal cross-check fails (which would
 indicate a bug) or a converge-mode estimate does not stabilise within the
 cutoff limit.
 
-Importing this module loads argparse, fractions, json and multsidon.rational
-only.  Each command imports its own layer when it runs: the pair commands
+Importing this module loads argparse, json and multsidon.rational only.
+Each command imports its own layer when it runs: the pair commands
 pair_sidon, the triple commands density (with components), empirical
-components and oracle, check-set oracle; csv is imported for --format csv.
+components and oracle, check-set oracle; csv is imported for --format csv,
+and fractions only where a rational is built (_parse_eps, pair_density and
+the triple layers), never for pair-construct.
 approximate_density, convergence_estimate, empirical_density and
 general_multiplicative_witness are module-level names that import their
 home module on the first call, and every command reads them, with
@@ -42,7 +44,6 @@ import argparse
 import io
 import json
 import sys
-from fractions import Fraction
 from itertools import compress
 
 from . import ConvergenceError, VerificationError
@@ -81,7 +82,7 @@ TABLE_TRIPLES = (
 DEFAULT_DECIMAL_DIGITS = 6
 # Below CPython's default 4300-digit limit on int-to-str conversion.
 MAX_DECIMAL_DIGITS = 4000
-# pair-construct --verify peaks near 133 MB of memory (0.45-0.77 s) at n = 10**7.
+# pair-construct --verify peaks near 133 MB of memory (0.40-0.51 s) at n = 10**7.
 MAX_PAIR_N = 10**7
 # empirical makes one admissible_count per rising value: 0.15 s at n = 10**12.
 MAX_EMPIRICAL_N = 10**12
@@ -117,6 +118,8 @@ def _parse_eps(text: str) -> Fraction:
             raise argparse.ArgumentTypeError(
                 f"decimal exponent of {text!r} exceeds {MAX_EPS_EXPONENT} in magnitude"
             )
+    from fractions import Fraction
+
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -168,21 +171,28 @@ def _decimal_fields(value: Fraction, digits: int) -> dict:
 def _member_text(mask: bytes, sep: bytes, head: bytes, tail: bytes) -> bytearray:
     """head, the x with mask[x] == 1 in ascending decimal joined by sep, then tail.
 
-    The mask is read in blocks of 1000.  Every x = 1000q + r in block q >= 1
-    is str(q) followed by r padded to three digits, so a block's text is
-    one join of the padded strings its slice of the mask selects, at C
-    speed and with no int per member.  Block 0 joins the plain str(r).
-    Each block is appended to one growing bytearray, the report's only copy.
+    The mask is read in blocks of 100.  Every x = 100q + r in block q >= 1
+    is str(q) followed by r padded to two digits, so a block's text is
+    str(q) joined over (b"", *the padded r + sep it selects).  The extremal
+    masks repeat at this scale (at most 151 distinct blocks for any pair at
+    n = MAX_PAIR_N), so each distinct block's tuple is built once per call,
+    and no int is made per member.  Block 0 joins the plain str(r) + sep.
+    The text grows in one bytearray, the report's only copy, and its last
+    sep is cut once at the end.
     """
-    decimal = [b"%d" % r for r in range(1000)]
-    padded = [b"%03d" % r for r in range(1000)]
-    text, lead = bytearray(head), b""
-    for start in range(0, len(mask), 1000):
-        prefix, table = (b"%d" % (start // 1000), padded) if start else (b"", decimal)
-        block = (sep + prefix).join(compress(table, mask[start : start + 1000]))
-        if block:
-            text += lead + prefix + block
-            lead = sep
+    decimal = [b"%d%s" % (r, sep) for r in range(100)]
+    padded = [b"%02d%s" % (r, sep) for r in range(100)]
+    patterns = {}
+    text = bytearray(head)
+    text += b"".join(compress(decimal, mask[:100]))
+    for q in range(1, (len(mask) + 99) // 100):
+        block = mask[100 * q : 100 * q + 100]
+        suffixes = patterns.get(block)
+        if suffixes is None:
+            suffixes = patterns[block] = (b"", *compress(padded, block))
+        text += (b"%d" % q).join(suffixes)
+    if len(text) > len(head):
+        del text[len(text) - len(sep) :]
     text += tail
     return text
 
@@ -376,7 +386,7 @@ def _cmd_triple_table(args: argparse.Namespace) -> int:
     report = {
         "command": "triple-table",
         "digits": args.digits,
-        "eps": format_rational(Fraction(args.eps)),
+        "eps": format_rational(args.eps),
         "decimal_rounding": "truncated toward zero",
     }
     plain_lines = [f"{'a':>2} {'b':>2} {'c':>2} {'estimate':>10} {'interval':>25}"]
@@ -531,12 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_triple_density)
 
     p = sub.add_parser("triple-table", help="density table for ten small triples")
-    p.add_argument("--eps", type=_parse_eps, default=Fraction(1, 20000),
+    p.add_argument("--eps", type=_parse_eps, default="1/20000",
                    help="certified interval width per row (default 1/20000)")
     add_common(p)
     p.set_defaults(func=_cmd_triple_table, digits=4)
 
-    p = sub.add_parser("empirical", help="exact alpha(G_n)/n in O(sqrt(n) log n)")
+    p = sub.add_parser("empirical", help="exact alpha(G_n)/n, one count per rising value <= n")
     p.add_argument("--a", type=_positive_int, required=True)
     p.add_argument("--b", type=_positive_int, required=True)
     p.add_argument("--c", type=_positive_int, required=True)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from math import gcd
 
 
@@ -218,4 +217,6 @@ def path_alpha(decomposition: PathDecomposition) -> int:
 
 def pair_density(params: PairParams) -> Fraction:
     """Maximum density of an {a,b}-multiplicative set: b/(b+g)."""
+    from fractions import Fraction
+
     return Fraction(params.b, params.b + params.g)

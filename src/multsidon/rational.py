@@ -8,8 +8,6 @@ lower rendering of the exact nonnegative value it labels.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def format_rational(x: Fraction) -> str:
     """Serialise as 'numerator/denominator', e.g. Fraction(1) -> '1/1'."""

@@ -709,6 +709,10 @@ def member_masks(draw):
     return bytes([0] + [rng.random() < density for _ in range(size - 1)])
 
 
+def joined_members(mask: bytes, sep: str) -> bytes:
+    return sep.join(map(str, compress(range(len(mask)), mask))).encode()
+
+
 class TestMemberText:
     """The mask renderer against str and join on the ints it selects, between head and tail."""
 
@@ -720,10 +724,42 @@ class TestMemberText:
     @example(b"\x00" * 1001 + b"\x01", "\r\n")
     @example(b"\x00" * 2000 + b"\x01", ", ")
     @example(b"\x00" + b"\x01" + b"\x00" * 1998 + b"\x01", ", ")  # an empty block between
+    @example(b"\x00" * 100 + b"\x01", ",\n    ")  # 100, the first member past block 0
+    @example(b"\x00" * 100 + b"\x01" * 5, "")
+    @example(b"\x00" * 101 + b"\x01", "\r\n")  # 101: "1" then the padded "01"
+    @example(b"\x00" + b"\x01" * 100, ", ")  # a mask of 101 bytes, 1 past a block
+    @example(b"\x00" + b"\x01" * 249, "\r\n")  # ends inside block 2
+    @example(b"\x00" + b"\x01" * 249, "")
+    @example(b"\x00", "")  # no member at all
+    @example(b"\x00" + b"\x01" * 99, "")
+    @example(b"\x00" * 150 + b"\x01" + b"\x00" * 99, "")
     def test_equals_join_of_str(self, mask, sep):
-        expected = sep.join(map(str, compress(range(len(mask)), mask))).encode()
+        expected = joined_members(mask, sep)
         assert _member_text(mask, sep.encode(), b"", b"") == expected
         assert _member_text(mask, sep.encode(), b"[\n", b"]\r\n") == b"[\n" + expected + b"]\r\n"
+
+    @pytest.mark.parametrize("x", [1000, 10**4, 10**5])
+    @pytest.mark.parametrize("sep", [",\n    ", ""])
+    def test_a_repeated_block_across_a_longer_prefix(self, x, sep):
+        """One 100-block pattern before and after x, where str(x // 100) gains a digit."""
+        pattern = bytes(r % 3 == 0 or r in (1, 98, 99) for r in range(100))
+        mask = b"\x00" + (pattern * (x // 100 + 3))[1 : x + 250]
+        assert len({mask[q : q + 100] for q in range(100, len(mask) - 99, 100)}) == 1
+        assert _member_text(mask, sep.encode(), b"", b"") == joined_members(mask, sep)
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (1, 2), (5, 11), (1, 1009)])
+    def test_extremal_masks_at_a_million(self, a, b):
+        mask = construct_extremal_set(reduce_pair(a, b), 10**6).mask
+        for sep in (",\n    ", "\r\n"):
+            assert _member_text(mask, sep.encode(), b"", b"") == joined_members(mask, sep)
+
+    def test_extremal_masks_have_few_distinct_blocks(self):
+        """The renderer builds one tuple per distinct 100-block; the extremal masks have few."""
+        n = 10**6
+        for b in range(2, 61):
+            mask = construct_extremal_set(reduce_pair(1, b), n).mask
+            distinct = {mask[q : q + 100] for q in range(0, n + 1, 100)}
+            assert len(distinct) <= 200, (b, len(distinct))
 
 
 REPORTS = [

@@ -2,8 +2,10 @@
 
 Each case runs in a new `python -S` interpreter with PYTHONPATH=src, so the
 modules it reports are the ones the package itself pulled in.  Importing
-multsidon.cli loads argparse, fractions, json and multsidon.rational; each
-command imports its own layer when it runs, and csv only for --format csv.
+multsidon.cli loads argparse, json and multsidon.rational; each command
+imports its own layer when it runs, csv only for --format csv, and
+fractions (with decimal) only where a rational is built, never for
+pair-construct.
 Stdout is buffered in every case but those run with -u, where its binary
 layer is a raw file.
 """
@@ -53,7 +55,7 @@ def modules_after(*argv: str) -> set[str]:
 def test_import_cli_loads_no_layer():
     loaded = modules_after()
     assert "multsidon.rational" in loaded
-    unwanted = {"dataclasses", "inspect", "typing", "csv", *LAYERS}
+    unwanted = {"dataclasses", "inspect", "typing", "csv", "fractions", "decimal", *LAYERS}
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
@@ -68,7 +70,11 @@ def test_import_cli_loads_no_layer():
         ("pair-density --a 2 --b 3",
          {"multsidon.components", "multsidon.density", "multsidon.oracle"}),
         ("pair-construct --a 2 --b 3 --n 100 --verify",
-         {"multsidon.components", "multsidon.density", "multsidon.oracle"}),
+         {"multsidon.components", "multsidon.density", "multsidon.oracle",
+          "fractions", "decimal"}),
+        ("pair-construct --a 2 --b 3 --n 100 --format csv",
+         {"multsidon.components", "multsidon.density", "multsidon.oracle",
+          "fractions", "decimal"}),
         ("empirical --a 2 --b 3 --c 5 --n 1000",
          {"multsidon.density", "multsidon.pair_sidon"}),
     ],
