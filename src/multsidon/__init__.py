@@ -10,7 +10,7 @@ Two solved regimes:
   rational interval of any requested width around the maximum density.
 
 All arithmetic is exact (arbitrary-precision integers and fractions);
-independent brute-force and matching oracles live in multsidon.oracle.
+multsidon.oracle re-solves the triple components by matching.
 
 Importing the package loads none of its modules.  Each name below is
 imported from its home module (components, density, oracle or pair_sidon)
@@ -37,7 +37,7 @@ _HOMES = {
                        "f_table f_value q_copy_alpha"),
         ("density", "ConvergenceEstimate DensityInterval approximate_density choose_cutoff "
                     "convergence_estimate delta_complete delta_small tail_bound"),
-        ("oracle", "empirical_density exact_alpha_exhaustive exact_alpha_matching"),
+        ("oracle", "empirical_density"),
         ("pair_sidon", "ExtremalPairSet PairParams PathDecomposition build_path_decomposition "
                        "construct_extremal_set is_pair_multiplicative pair_density path_alpha "
                        "reduce_pair"),

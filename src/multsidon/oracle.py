@@ -1,36 +1,37 @@
 """Independent verification of the component computations, and alpha(G_n).
 
-The verifiers avoid the parity shortcut: maximum independent sets are
-recomputed from scratch, either by Koenig duality (|V| minus a maximum
-bipartite matching, valid because every component 2-colours by coordinate
-parity) or by branch-and-bound over vertex subsets for graphs small enough
-to enumerate.  empirical_density sums alpha(G_n) over the rising values of
-the step functions, one admissible_count per rise, each unit triangle read
-up to n; when n <= verify_upto it also walks the components of [n],
-re-solves each distinct truncated component once, on a prefix of that
-triangle, and checks the per-component total against that sum.
-general_multiplicative_witness checks the {A,B} condition on any finite
-set of positive integers, the pair condition {a},{b} included.
+The verifier avoids the parity shortcut: each truncated component's maximum
+independent set is recomputed by Koenig duality, as its cell count minus a
+maximum matching.  empirical_density sums alpha(G_n) over the rising values
+of the step functions, one admissible_count per rise, each unit triangle
+read up to n.  When n <= verify_upto it also runs one incremental matcher
+per height over that triangle in value order, which solves every prefix,
+checks each against the parity plateau of f_table, then walks the
+components of [n], each a prefix of its height's triangle, and checks the
+per-component total against that sum.  general_multiplicative_witness
+checks the {A,B} condition on any finite set of positive integers, the
+pair condition {a},{b} included.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import zip_longest
 
-from . import VerificationError
+from . import VerificationError, components
 from .components import (
     Coord,
     TripleParams,
     admissible_count,
     f_table,
     is_admissible,
-    q_copy_alpha,
     sorted_cells,
 )
 
-EXHAUSTIVE_LIMIT = 24
+# Not called here, but perfbench/tracing.py wraps oracle.q_copy_alpha.
+q_copy_alpha = components.q_copy_alpha
 
 
 def component_ids(params: TripleParams, n: int) -> Iterator[tuple[int, int]]:
@@ -47,129 +48,74 @@ def component_ids(params: TripleParams, n: int) -> Iterator[tuple[int, int]]:
         height += 1
 
 
-def grid_cell_edges(cells: Sequence[Coord]) -> list[tuple[int, int]]:
-    """Index pairs of cells one grid step apart (the component adjacency)."""
-    index = {xy: i for i, xy in enumerate(cells)}
-    edges = []
-    for (x, y), i in index.items():
-        for nb in ((x + 1, y), (x, y + 1)):
-            j = index.get(nb)
-            if j is not None:
-                edges.append((i, j))
-    return edges
-
-
-def exact_alpha_matching(num_vertices: int, edges: Iterable[tuple[int, int]]) -> int:
-    """Independence number of a bipartite graph via Koenig duality.
-
-    2-colours the graph (raising on an odd cycle), computes a maximum
-    matching by augmenting paths, and returns |V| - |matching|.
-    """
-    adjacency: list[list[int]] = [[] for _ in range(num_vertices)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    colour = [-1] * num_vertices
-    for start in range(num_vertices):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if colour[v] == -1:
-                    colour[v] = colour[u] ^ 1
-                    stack.append(v)
-                elif colour[v] == colour[u]:
-                    raise VerificationError("graph is not bipartite")
-
-    match_of = [-1] * num_vertices
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in adjacency[u]:
-            if v in seen:
+def _augment(root: int, adjacent: list[list[int]], mate: list[int]) -> bool:
+    """Find an augmenting path from the unmatched root by BFS and flip it."""
+    reached_from = {}  # far-side vertex -> the near-side vertex that reached it
+    queue = [root]
+    for u in queue:
+        for v in adjacent[u]:
+            if v in reached_from:
                 continue
-            seen.add(v)
-            if match_of[v] == -1 or augment(match_of[v], seen):
-                match_of[v] = u
-                match_of[u] = v
-                return True
-        return False
-
-    matching = 0
-    for u in range(num_vertices):
-        if colour[u] == 0 and match_of[u] == -1 and augment(u, set()):
-            matching += 1
-    return num_vertices - matching
+            reached_from[v] = u
+            if mate[v] != -1:
+                queue.append(mate[v])
+                continue
+            while v != -1:  # flip the path back to the root, which had no mate
+                u = reached_from[v]
+                mate[v], mate[u], v = u, v, mate[u]
+            return True
+    return False
 
 
-def exact_alpha_exhaustive(num_vertices: int, edges: Iterable[tuple[int, int]]) -> int:
-    """Independence number by pruned subset search, for <= 24 vertices."""
-    if num_vertices > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"exhaustive search limited to {EXHAUSTIVE_LIMIT} vertices")
-    masks = [0] * num_vertices
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+def _matched_alphas(cells: Iterable[tuple[int, int, int]]) -> list[int]:
+    """k - |M_k| for every prefix of the cells (value, x, y), M_k a maximum matching.
 
-    def search(active: int) -> int:
-        if active == 0:
-            return 0
-        best_v, best_deg, count, edge_count = -1, -1, 0, 0
-        m = active
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg = (masks[v] & active).bit_count()
-            edge_count += deg
-            count += 1
-            if deg > best_deg:
-                best_deg, best_v = deg, v
-        if best_deg <= 1:
-            # disjoint edges and isolated vertices: take one endpoint each
-            return count - edge_count // 2
-        without = search(active & ~(1 << best_v))
-        with_v = 1 + search(active & ~((1 << best_v) | masks[best_v]))
-        return max(without, with_v)
-
-    return search((1 << num_vertices) - 1)
+    Cells join one at a time, adjacent to the cells one grid step away that
+    joined before.  A new vertex raises a maximum matching by at most one,
+    and an augmenting path must end at it, so one breadth-first search from
+    it suffices.  Grid steps change the parity of x + y, so the graph is
+    bipartite and the search needs no blossoms; by Koenig duality k - |M_k|
+    is the independence number of the first k cells.
+    """
+    index: dict[Coord, int] = {}
+    adjacent: list[list[int]] = []
+    mate: list[int] = []
+    alphas, matched = [], 0
+    for new, (_, x, y) in enumerate(cells):
+        joined = [index[xy] for xy in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
+                  if xy in index]
+        for j in joined:
+            adjacent[j].append(new)
+        index[x, y] = new
+        adjacent.append(joined)
+        mate.append(-1)
+        matched += _augment(new, adjacent, mate)
+        alphas.append(new + 1 - matched)
+    return alphas
 
 
 def _verify_components(params: TripleParams, n: int, total: int) -> None:
-    """Re-solve the components of G_n and check their alphas sum to total.
+    """Re-solve the components of G_n by matching and check their alphas sum to total.
 
     Component (p, q) truncated to [n] is q times the first k cells of height
-    p's unit triangle, k the number of unit values <= n // q, so each distinct
-    (p, k) is solved once, by matching (and exhaustively on tiny components),
-    on the first k cells of the triangle read once per height up to n >= n // q.
-    VerificationError is raised when that disagrees with the parity alpha,
-    which q_copy_alpha computes from its own f_table, or when the verified
-    alphas, one per component, do not sum to total.
+    p's unit triangle, k the number of unit values <= n // q.  One matcher
+    per height reads that triangle up to n >= n // q in value order and
+    solves every prefix; VerificationError is raised at the first prefix
+    whose matched alpha is not the parity plateau of f_table, or when the
+    matched alphas, one per component, do not sum to total.
     """
-    solved: dict[tuple[int, int], int] = {}
-    summed, height, unit, values = 0, None, [], []
+    summed, height, alphas, values = 0, None, [], []
     for p, q in component_ids(params, n):
         if p != height:  # component_ids yields the heights in rising order
             height, unit = p, sorted_cells(params, p, n)
+            alphas = _matched_alphas(unit)
+            plateaus = [plateau for _, plateau in f_table(params, p, n)]
+            for k, (plateau, alpha) in enumerate(zip_longest(plateaus, alphas), 1):
+                if plateau != alpha:
+                    raise VerificationError(f"height {p}, first {k} cells: parity alpha "
+                                            f"{plateau} != matching alpha {alpha}")
             values = [v for v, _, _ in unit]
-        k = bisect_right(values, n // q)
-        if (p, k) not in solved:
-            alpha = q_copy_alpha(params, p, q, n)
-            cells = [(x, y) for _, x, y in unit[:k]]
-            edges = grid_cell_edges(cells)
-            found = {"matching": exact_alpha_matching(len(cells), edges)}
-            if len(cells) <= EXHAUSTIVE_LIMIT:
-                found["exhaustive"] = exact_alpha_exhaustive(len(cells), edges)
-            for method, other in found.items():
-                if other != alpha:
-                    raise VerificationError(
-                        f"component (p={p}, q={q}): parity alpha {alpha} "
-                        f"!= {method} alpha {other}"
-                    )
-            solved[p, k] = alpha
-        summed += solved[p, k]
+        summed += alphas[bisect_right(values, n // q) - 1]
     if summed != total:
         raise VerificationError(
             f"alpha(G_{n}): per-component sum {summed} != rising-value sum {total}"

@@ -8,7 +8,10 @@ read off it, the members of an extremal pair set as integers, the
 staircase lemma on random staircases, the simplified tail bound, the
 pair-set cardinality bracket, the floor-block sum of alpha(G_n), converge
 mode as one delta_small per cutoff, a Hypothesis strategy of coprime
-triples, and finite_graph_report, which lists
+triples, two reference solvers of the independence number that the
+verifier's incremental matcher is checked against (Koenig duality on a
+fresh edge list, and pruned subset search up to EXHAUSTIVE_LIMIT
+vertices), and finite_graph_report, which lists
 every component of [n] with its vertex count, its independence number
 (re-solved by matching on request) and a complete/small/large label.  The
 module is named so that pytest does not collect it; test modules import
@@ -23,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -46,13 +49,7 @@ from multsidon.density import (
     delta_small,
     tail_bound,
 )
-from multsidon.oracle import (
-    EXHAUSTIVE_LIMIT,
-    component_ids,
-    exact_alpha_exhaustive,
-    exact_alpha_matching,
-    grid_cell_edges,
-)
+from multsidon.oracle import component_ids
 from multsidon.pair_sidon import ExtremalPairSet, PairParams
 from multsidon.rational import truncated_decimal
 
@@ -74,6 +71,99 @@ def component_instance(params: TripleParams, height: int, q: int, n: int) -> Com
         cells=tuple((x, y) for _, x, y in cells),
         values=tuple(v * q for v, _, _ in cells),
     )
+
+
+EXHAUSTIVE_LIMIT = 24
+
+
+def grid_cell_edges(cells: Sequence[Coord]) -> list[tuple[int, int]]:
+    """Index pairs of cells one grid step apart (the component adjacency)."""
+    index = {xy: i for i, xy in enumerate(cells)}
+    edges = []
+    for (x, y), i in index.items():
+        for nb in ((x + 1, y), (x, y + 1)):
+            j = index.get(nb)
+            if j is not None:
+                edges.append((i, j))
+    return edges
+
+
+def exact_alpha_matching(num_vertices: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Independence number of a bipartite graph via Koenig duality.
+
+    2-colours the graph (raising on an odd cycle), computes a maximum
+    matching by augmenting paths, and returns |V| - |matching|.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(num_vertices)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+
+    colour = [-1] * num_vertices
+    for start in range(num_vertices):
+        if colour[start] != -1:
+            continue
+        colour[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in adjacency[u]:
+                if colour[v] == -1:
+                    colour[v] = colour[u] ^ 1
+                    stack.append(v)
+                elif colour[v] == colour[u]:
+                    raise VerificationError("graph is not bipartite")
+
+    match_of = [-1] * num_vertices
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for v in adjacency[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if match_of[v] == -1 or augment(match_of[v], seen):
+                match_of[v] = u
+                match_of[u] = v
+                return True
+        return False
+
+    matching = 0
+    for u in range(num_vertices):
+        if colour[u] == 0 and match_of[u] == -1 and augment(u, set()):
+            matching += 1
+    return num_vertices - matching
+
+
+def exact_alpha_exhaustive(num_vertices: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Independence number by pruned subset search, for <= 24 vertices."""
+    if num_vertices > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive search limited to {EXHAUSTIVE_LIMIT} vertices")
+    masks = [0] * num_vertices
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+
+    def search(active: int) -> int:
+        if active == 0:
+            return 0
+        best_v, best_deg, count, edge_count = -1, -1, 0, 0
+        m = active
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            deg = (masks[v] & active).bit_count()
+            edge_count += deg
+            count += 1
+            if deg > best_deg:
+                best_deg, best_v = deg, v
+        if best_deg <= 1:
+            # disjoint edges and isolated vertices: take one endpoint each
+            return count - edge_count // 2
+        without = search(active & ~(1 << best_v))
+        with_v = 1 + search(active & ~((1 << best_v) | masks[best_v]))
+        return max(without, with_v)
+
+    return search((1 << num_vertices) - 1)
 
 
 @st.composite

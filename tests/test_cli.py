@@ -433,6 +433,21 @@ class TestEmpirical:
             assert (code, out) == (3, ""), fmt
             assert err.startswith("verification failed: ") and "rising-value sum" in err, fmt
 
+    def test_parity_and_matching_disagreement_exits_3(self, capsys, monkeypatch):
+        matcher = multsidon.oracle._matched_alphas
+        # the matcher finds one more independent cell on the third prefix of each height
+        monkeypatch.setattr(multsidon.oracle, "_matched_alphas",
+                            lambda cells: [alpha + (k == 3)
+                                           for k, alpha in enumerate(matcher(cells), 1)])
+        for fmt in ("json", "csv", "plain"):
+            code, out, err = run_cli(
+                capsys, "empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "300",
+                "--verify-upto", "300", "--format", fmt,
+            )
+            assert (code, out) == (3, ""), fmt
+            assert err.startswith("verification failed: height 1, first 3 cells: parity alpha 2 "
+                                  "!= matching alpha 3"), fmt
+
     def test_billion(self, capsys):
         report = run_json(
             capsys, "empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "1000000000"

@@ -12,15 +12,20 @@ from multsidon import (
     admissible_count,
     admissible_density,
     alpha_complete,
-    exact_alpha_exhaustive,
     f_table,
     f_value,
     q_copy_alpha,
 )
 from multsidon.components import sorted_cells
-from multsidon.oracle import grid_cell_edges
 
-from claims import check_staircase, classify_component, component_instance, coprime_triples
+from claims import (
+    check_staircase,
+    classify_component,
+    component_instance,
+    coprime_triples,
+    exact_alpha_exhaustive,
+    grid_cell_edges,
+)
 
 T235 = TripleParams(2, 3, 5)
 

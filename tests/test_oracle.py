@@ -15,20 +15,23 @@ from multsidon import (
     VerificationError,
     build_path_decomposition,
     empirical_density,
-    exact_alpha_exhaustive,
-    exact_alpha_matching,
     path_alpha,
     reduce_pair,
 )
-from multsidon.components import q_copy_alpha
-from multsidon.oracle import component_ids, general_multiplicative_witness, grid_cell_edges
+from multsidon.components import q_copy_alpha, sorted_cells
+from multsidon.oracle import _matched_alphas, component_ids, general_multiplicative_witness
 
 from claims import (
+    EXHAUSTIVE_LIMIT,
     build_gn,
     cell_count,
     component_instance,
+    coprime_triples,
+    exact_alpha_exhaustive,
+    exact_alpha_matching,
     finite_graph_report,
     floor_block_alpha,
+    grid_cell_edges,
     parity_independent_set,
     random_staircase,
     staircase_lemma_check,
@@ -115,6 +118,28 @@ class TestExactAlphaMatching:
             if data.draw(st.booleans(), label=f"edge {u}-{v}")
         ]
         assert exact_alpha_matching(n, edges) == exact_alpha_exhaustive(n, edges)
+
+
+class TestMatchedAlphas:
+    def test_path_then_square(self):
+        # (0,0), (1,0), (0,1), (1,1): a path of three, then a four-cycle
+        assert _matched_alphas([(1, 0, 0), (2, 1, 0), (3, 0, 1), (4, 1, 1)]) == [1, 1, 2, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(triple=coprime_triples(), height=st.integers(0, 12), data=st.data())
+    def test_every_prefix_agrees_with_reference_solvers(self, triple, height, data):
+        t = TripleParams(*triple)
+        values = [v for v, _, _ in sorted_cells(t, height, t.c**height)]
+        cap = data.draw(st.one_of(st.sampled_from(values),
+                                  st.integers(t.a**height, t.c**height)), label="cap")
+        cells = sorted_cells(t, height, cap)
+        alphas = _matched_alphas(cells)
+        assert len(alphas) == len(cells)
+        for k in range(1, len(cells) + 1):
+            edges = grid_cell_edges([(x, y) for _, x, y in cells[:k]])
+            assert alphas[k - 1] == exact_alpha_matching(k, edges), k
+            if k <= EXHAUSTIVE_LIMIT:
+                assert alphas[k - 1] == exact_alpha_exhaustive(k, edges), k
 
 
 class TestExactAlphaExhaustive:
@@ -205,10 +230,16 @@ class TestEmpiricalDensity:
     def test_mismatch_raises(self, monkeypatch):
         import multsidon.oracle as oracle_module
 
-        monkeypatch.setattr(
-            oracle_module, "q_copy_alpha", lambda *args: 0
-        )
-        with pytest.raises(VerificationError):
+        table = oracle_module.f_table
+
+        def wrong_plateau(params, height, limit=None):
+            # one plateau too high: the fifth cell of height 3, the value 27
+            return tuple((value, plateau + (height == 3 and k == 5))
+                         for k, (value, plateau) in enumerate(table(params, height, limit), 1))
+
+        monkeypatch.setattr(oracle_module, "f_table", wrong_plateau)
+        with pytest.raises(VerificationError, match=r"height 3, first 5 cells: parity alpha 4 "
+                                                    r"!= matching alpha 3"):
             empirical_density(T235, 30, verify_upto=30)
 
     @pytest.mark.parametrize(
@@ -228,11 +259,12 @@ class TestEmpiricalDensity:
         assert empirical_density(t, n, verify_upto=n - 1) == exact + Fraction(1, n)
 
     @pytest.mark.parametrize(
-        "t, graphs, components",
-        [(T235, 172, 53_333), (T345, 96, 60_000), (TripleParams(2, 3, 1000003), 83, 66_667)],
+        "t, graphs, components, heights",
+        [(T235, 172, 53_333, 17), (T345, 96, 60_000, 11),
+         (TripleParams(2, 3, 1000003), 83, 66_667, 17)],
     )
     def test_verified_run_solves_each_truncated_component_once(
-        self, monkeypatch, t, graphs, components
+        self, monkeypatch, t, graphs, components, heights
     ):
         import multsidon.oracle as oracle_module
 
@@ -240,12 +272,15 @@ class TestEmpiricalDensity:
         ids = list(component_ids(t, n))
         distinct = {(p, cell_count(t, p, n // q)) for p, q in ids}
         assert (len(distinct), len(ids)) == (graphs, components)
+        assert len({p for p, _ in ids}) == heights  # every height p with a**p <= n
         sizes = []
-        matching = oracle_module.exact_alpha_matching
-        monkeypatch.setattr(oracle_module, "exact_alpha_matching",
-                            lambda size, edges: sizes.append(size) or matching(size, edges))
+        matcher = oracle_module._matched_alphas
+        monkeypatch.setattr(oracle_module, "_matched_alphas",
+                            lambda cells: sizes.append(len(cells)) or matcher(cells))
         assert empirical_density(t, n, verify_upto=n) == empirical_density(t, n, verify_upto=0)
-        assert len(sizes) == len(distinct)
+        # one matcher per height, whose prefixes hold every truncated component
+        assert len(sizes) == heights
+        assert all(k <= sizes[p] for p, k in distinct)
 
     def test_kind_split_covers_total(self):
         report = finite_graph_report(T235, 1000, cutoff=4)

@@ -60,8 +60,7 @@ EXPORTS = {
     "density": ("ConvergenceEstimate", "DensityInterval", "approximate_density",
                 "choose_cutoff", "convergence_estimate", "delta_complete", "delta_small",
                 "tail_bound"),
-    "oracle": ("VerificationError", "empirical_density", "exact_alpha_exhaustive",
-               "exact_alpha_matching"),
+    "oracle": ("VerificationError", "empirical_density"),
     "pair_sidon": ("ExtremalPairSet", "PairParams", "PathDecomposition",
                    "build_path_decomposition", "construct_extremal_set",
                    "is_pair_multiplicative", "pair_density", "path_alpha", "reduce_pair"),
@@ -78,11 +77,12 @@ def test_every_export_is_its_home_modules_object(home, name):
     assert name in dir(multsidon) and name in multsidon.__all__
 
 
-# The labelled component report and the truncated component with its values,
-# which only the tests read, live in tests/claims.py.
+# The labelled component report, the truncated component with its values and
+# the two reference solvers of the verifier's matcher, which only the tests
+# read, live in tests/claims.py.
 MOVED_TO_CLAIMS = ("ComponentId", "ComponentInstance", "ComponentSummary", "FiniteGraphReport",
                    "cell_count", "classify_component", "component_instance",
-                   "finite_graph_report")
+                   "exact_alpha_exhaustive", "exact_alpha_matching", "finite_graph_report")
 
 
 @pytest.mark.parametrize("name", MOVED_TO_CLAIMS)
