@@ -402,7 +402,8 @@ def _cmd_triple_table(args: argparse.Namespace) -> int:
 def _cmd_empirical(args: argparse.Namespace) -> int:
     if args.n > MAX_EMPIRICAL_N:
         raise ValueError(f"--n {args.n} exceeds the limit of {MAX_EMPIRICAL_N} for empirical")
-    if args.verify_upto >= args.n > MAX_VERIFIED_N:
+    verify = args.n <= args.verify_upto
+    if verify and args.n > MAX_VERIFIED_N:
         raise ValueError(
             f"--n {args.n} exceeds the limit of {MAX_VERIFIED_N} for a verified run "
             f"(n <= --verify-upto {args.verify_upto})"
@@ -410,7 +411,7 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
     from .components import TripleParams
 
     params = TripleParams(args.a, args.b, args.c)
-    ratio = empirical_density(params, args.n, verify_upto=args.verify_upto)
+    ratio = empirical_density(params, args.n, verify=verify)
     alpha = ratio.numerator * args.n // ratio.denominator
     report = {
         "command": "empirical",
@@ -421,12 +422,12 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
         "alpha": alpha,
         "ratio": format_rational(ratio),
         **_decimal_fields(ratio, args.digits),
-        "verified": args.n <= args.verify_upto,
+        "verified": verify,
     }
     plain = (
         f"alpha(G_{args.n}) / {args.n} = {format_rational(ratio)} = "
         f"{truncated_decimal(ratio, args.digits)} (truncated to {args.digits} digits)"
-        + (" [components cross-checked]" if args.n <= args.verify_upto else "")
+        + (" [components cross-checked]" if verify else "")
     )
     _emit(report, None, args.format, plain)
     return 0
@@ -438,10 +439,13 @@ def _read_set_file(path: str) -> set[int]:
     if len(data) > MAX_SET_BYTES:
         raise ValueError(f"{path} is larger than {MAX_SET_BYTES} bytes")
     members = set()
-    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as handle:
+    # latin-1 decodes every byte, so a non-ascii line is reported with its number
+    with io.TextIOWrapper(io.BytesIO(data), encoding="latin-1") as handle:
         for lineno, line in enumerate(handle, start=1):
             if lineno > MAX_SET_MEMBERS:
                 raise ValueError(f"{path} has more than {MAX_SET_MEMBERS} lines, one per member")
+            if not line.isascii():
+                raise ValueError(f"{path}:{lineno}: not ascii: {line.encode('latin-1').strip()!r}")
             text = line.strip()
             if not text:
                 continue
@@ -507,15 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(name: str, text: str) -> argparse.ArgumentParser:
         return sub.add_parser(name, help=text, description=text)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, digits: bool = True) -> None:
         p.add_argument(
             "--format", choices=("json", "csv", "plain"), default="json",
             help="output format (default json)",
         )
-        p.add_argument(
-            "--digits", type=_digits, default=DEFAULT_DECIMAL_DIGITS,
-            help="fractional digits in decimal renderings",
-        )
+        if digits:  # only the commands that print a decimal
+            p.add_argument("--digits", type=_digits, default=DEFAULT_DECIMAL_DIGITS,
+                           help="fractional digits in decimal renderings")
 
     p = add_command("pair-density", "maximum density b/(b+gcd(a,b))")
     p.add_argument("--a", type=_positive_int, required=True)
@@ -529,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--verify", action="store_true",
                    help="cross-check cardinality and the defining condition")
-    add_common(p)
+    add_common(p, digits=False)
     p.set_defaults(func=_cmd_pair_construct)
 
     p = add_command("triple-density", "certified or converged density")
@@ -563,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", type=_int_list, required=True, help="comma-separated")
     p.add_argument("--B", type=_int_list, required=True, help="comma-separated")
     p.add_argument("--set-file", required=True, dest="set_file")
-    add_common(p)
+    add_common(p, digits=False)
     p.set_defaults(func=_cmd_check_set)
 
     return parser

@@ -17,8 +17,8 @@ A cell's value is a**p * (b/a)**x * (c/a)**y, so a step back in x or y
 divides it by b/a or c/a.  Hence every truncation to values <= r is
 downward closed, and sorted_cells reads it row by row up to the cap r,
 each row cut at its first value above r.  In value order the running
-size of the larger parity class is the truncated independence number
-f(p, r) of f_table and f_value.  The density kernel reads row bands instead.
+size of the larger parity class (plateaus) is the truncated independence
+number f(p, r) of f_table and f_value.  The density kernel reads row bands instead.
 """
 
 from __future__ import annotations
@@ -90,9 +90,13 @@ def f_table(
     """
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
-    limit = params.c**height if limit is None else limit
+    return plateaus(sorted_cells(params, height, params.c**height if limit is None else limit))
+
+
+def plateaus(cells: list[tuple[int, int, int]]) -> tuple[tuple[int, int], ...]:
+    """(value, the size of the larger parity class of x + y so far) at each cell (value, x, y)."""
     counts, table = [0, 0], []
-    for value, x, y in sorted_cells(params, height, limit):
+    for value, x, y in cells:
         counts[(x + y) % 2] += 1
         table.append((value, max(counts)))
     return tuple(table)

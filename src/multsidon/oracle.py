@@ -2,15 +2,14 @@
 
 The verifier avoids the parity shortcut: each truncated component's maximum
 independent set is recomputed by Koenig duality, as its cell count minus a
-maximum matching.  empirical_density sums alpha(G_n) over the rising values
-of the step functions, one admissible_count per rise, each unit triangle
-read up to n.  When n <= verify_upto it also runs one incremental matcher
-per height over that triangle in value order, which solves every prefix,
-checks each against the parity plateau of f_table, then walks the
-components of [n], each a prefix of its height's triangle, and checks the
-per-component total against that sum.  general_multiplicative_witness
-checks the {A,B} condition on any finite set of positive integers, the
-pair condition {a},{b} included.
+maximum matching.  empirical_density reads the cells <= n of each height
+once, in value order, and sums alpha(G_n) over their rising values, one
+admissible_count per rise.  A verified run also feeds those cells to one
+incremental matcher per height, which solves every prefix, checks each
+against its parity plateau, then walks the components of [n], each a
+prefix of its height's cells, and checks the per-component total against
+that sum.  general_multiplicative_witness checks the {A,B} condition on
+any finite set of positive integers, the pair condition {a},{b} included.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from .components import (
     Coord,
     TripleParams,
     admissible_count,
-    f_table,
     is_admissible,
+    plateaus,
     sorted_cells,
 )
 
@@ -94,58 +93,49 @@ def _matched_alphas(cells: Iterable[tuple[int, int, int]]) -> list[int]:
     return alphas
 
 
-def _verify_components(params: TripleParams, n: int, total: int) -> None:
-    """Re-solve the components of G_n by matching and check their alphas sum to total.
-
-    Component (p, q) truncated to [n] is q times the first k cells of height
-    p's unit triangle, k the number of unit values <= n // q.  One matcher
-    per height reads that triangle up to n >= n // q in value order and
-    solves every prefix; VerificationError is raised at the first prefix
-    whose matched alpha is not the parity plateau of f_table, or when the
-    matched alphas, one per component, do not sum to total.
-    """
-    summed, height, alphas, values = 0, None, [], []
-    for p, q in component_ids(params, n):
-        if p != height:  # component_ids yields the heights in rising order
-            height, unit = p, sorted_cells(params, p, n)
-            alphas = _matched_alphas(unit)
-            plateaus = [plateau for _, plateau in f_table(params, p, n)]
-            for k, (plateau, alpha) in enumerate(zip_longest(plateaus, alphas), 1):
-                if plateau != alpha:
-                    raise VerificationError(f"height {p}, first {k} cells: parity alpha "
-                                            f"{plateau} != matching alpha {alpha}")
-            values = [v for v, _, _ in unit]
-        summed += alphas[bisect_right(values, n // q) - 1]
-    if summed != total:
-        raise VerificationError(
-            f"alpha(G_{n}): per-component sum {summed} != rising-value sum {total}"
-        )
-
-
-def empirical_density(params: TripleParams, n: int, verify_upto: int) -> Fraction:
+def empirical_density(params: TripleParams, n: int, verify: bool) -> Fraction:
     """alpha(G_n) / n as one sum over the rising values v <= n.
 
     Component (p, q) contributes f(p, floor(n / q)), the number of rising
     values <= floor(n / q) at height p.  v <= floor(n / q) holds exactly when
     q <= floor(n / v), so alpha(G_n) sums admissible_count(floor(n / v)) over
     the rising values v <= n of every height: one call per rise, after the
-    cells <= n of each height p with a**p <= n are read and sorted.
-    When n <= verify_upto, every component is also re-solved by matching
-    and the per-component total checked against this sum, raising
-    VerificationError on any mismatch.
+    cells <= n of each height p with a**p <= n are read and sorted once.
+
+    With verify, one matcher per height solves every prefix of those cells,
+    each checked against its plateau, and the walk of component_ids sums
+    the matched alphas of the prefixes <= n // q against the rising-value
+    sum; a mismatch raises VerificationError.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    total, p, power = 0, 0, 1
+    total, matched, p, power = 0, [], 0, 1
     while power <= n:
+        cells = sorted_cells(params, p, n)
+        table = plateaus(cells)
         previous = 0
-        for value, plateau in f_table(params, p, n):
+        for value, plateau in table:
             if plateau > previous:
                 total += admissible_count(params, n // value)
             previous = plateau
+        if verify:
+            values, steps = zip(*table)
+            alphas = _matched_alphas(cells)
+            for k, (plateau, alpha) in enumerate(zip_longest(steps, alphas), 1):
+                if plateau != alpha:
+                    raise VerificationError(f"height {p}, first {k} cells: parity alpha "
+                                            f"{plateau} != matching alpha {alpha}")
+            matched.append((values, alphas))
         p, power = p + 1, power * params.a
-    if n <= verify_upto:
-        _verify_components(params, n, total)
+    if verify:
+        summed = 0
+        for p, q in component_ids(params, n):
+            values, alphas = matched[p]
+            summed += alphas[bisect_right(values, n // q) - 1]
+        if summed != total:
+            raise VerificationError(
+                f"alpha(G_{n}): per-component sum {summed} != rising-value sum {total}"
+            )
     return Fraction(total, n)
 
 

@@ -223,7 +223,7 @@ def test_criterion_5_oracle_triangulation():
             failures.append(f"{triple}: {exc}")
             continue
         via_parity = rep.total_alpha
-        via_ratio = empirical_density(t, n, verify_upto=n) * n
+        via_ratio = empirical_density(t, n, verify=True) * n
         if via_parity != via_ratio:
             failures.append(f"{triple}: totals differ {via_parity} vs {via_ratio}")
         if sum(s.vertex_count for s in rep.components) != n:
@@ -275,7 +275,7 @@ def test_criterion_8_empirical_convergence():
     t0 = time.time()
     failures = []
     t = TripleParams(2, 3, 5)
-    ratios = {n: empirical_density(t, n, verify_upto=0) for n in (10**3, 10**4, 10**5)}
+    ratios = {n: empirical_density(t, n, verify=False) for n in (10**3, 10**4, 10**5)}
     if abs(ratios[10**5] - Fraction("0.7292")) >= Fraction(1, 100):
         failures.append(f"n=1e5 ratio {float(ratios[10**5]):.5f} not within 0.01 of 0.7292")
     interval = approximate_density(t, eps=Fraction(1, 20000))

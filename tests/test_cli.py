@@ -448,6 +448,15 @@ class TestEmpirical:
             assert err.startswith("verification failed: height 1, first 3 cells: parity alpha 2 "
                                   "!= matching alpha 3"), fmt
 
+    def test_matcher_with_too_few_alphas_exits_3(self, capsys, monkeypatch):
+        matcher = multsidon.oracle._matched_alphas
+        monkeypatch.setattr(multsidon.oracle, "_matched_alphas", lambda cells: matcher(cells)[:-1])
+        code, out, err = run_cli(capsys, "empirical", "--a", "2", "--b", "3", "--c", "5",
+                                 "--n", "300", "--verify-upto", "300")
+        assert (code, out) == (3, "")
+        assert err == ("verification failed: height 0, first 1 cells: parity alpha 1 "
+                       "!= matching alpha None\n")
+
     def test_billion(self, capsys):
         report = run_json(
             capsys, "empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "1000000000"
@@ -585,6 +594,20 @@ class TestCheckSet:
         assert code == 2
         assert "noise" in err
 
+    @pytest.mark.parametrize("data, line", [(b"\xff\n", 1), (b"1\n4\r\n9\xff\n", 3)])
+    def test_non_ascii_line_exits_2_with_its_number(self, capsys, tmp_path, data, line):
+        path = tmp_path / "set.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "check-set", "--A", "2", "--B", "3,5",
+                                 "--set-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}:{line}: not ascii: b'")
+
+    def test_blank_lines_are_skipped(self, capsys, tmp_path):
+        path = self.write(tmp_path, ["", 1, " ", 4, "\t", 9, ""])
+        report = run_json(capsys, "check-set", "--A", "2", "--B", "3,5", "--set-file", path)
+        assert (report["size"], report["multiplicative"]) == (3, True)
+
     def test_nonpositive_value_exits_2(self, capsys, tmp_path):
         path = self.write(tmp_path, [1, 0])
         code, _, _ = run_cli(capsys, "check-set", "--A", "2", "--B", "3,5",
@@ -666,6 +689,30 @@ class TestCheckSet:
         code, _, _ = run_cli(capsys, "check-set", "--A", "2", "--B", "3,5",
                              "--set-file", str(tmp_path / "missing.txt"))
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("check-set --A 2,x --B 3 --set-file set.txt",
+         "argument --A: not a comma-separated integer list: '2,x'"),
+        ("check-set --A 2 --B , --set-file set.txt", "argument --B: need positive integers: ','"),
+        ("triple-table --eps 1ex", "argument --eps: not a rational number: '1ex'"),
+        ("triple-density --a 2 --b 3 --c 5 --eps 1/0",
+         "argument --eps: not a rational number: '1/0'"),
+        # only the commands that print a decimal take --digits
+        ("pair-construct --a 2 --b 3 --n 10 --digits 3", "unrecognized arguments: --digits 3"),
+        ("check-set --A 2 --B 3 --set-file set.txt --digits 3",
+         "unrecognized arguments: --digits 3"),
+    ],
+)
+def test_malformed_argument_exits_2_at_parse(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(message)
 
 
 class TestPatchContract:
@@ -865,7 +912,9 @@ def cli_inputs(draw):
     command = draw(st.sampled_from(
         ["pair-density", "pair-construct", "triple-density", "triple-table", "empirical"]
     ))
-    argv = [command, "--digits", str(draw(digits))]
+    argv = [command]
+    if command != "pair-construct":
+        argv += ["--digits", str(draw(digits))]
     names = {"pair-density": "ab", "pair-construct": "ab", "triple-table": ""}.get(command, "abc")
     values = [draw(base) for _ in names]
     if draw(st.booleans()):

@@ -186,10 +186,10 @@ class TestTripleOracleAgreement:
 
 class TestEmpiricalDensity:
     def test_n_one(self):
-        assert empirical_density(T235, 1, verify_upto=5000) == Fraction(1, 1)
+        assert empirical_density(T235, 1, verify=True) == Fraction(1, 1)
 
     def test_ten(self):
-        assert empirical_density(T235, 10, verify_upto=5000) == Fraction(7, 10)
+        assert empirical_density(T235, 10, verify=True) == Fraction(7, 10)
 
     def test_methods_agree_at_ten(self):
         report = finite_graph_report(T235, 10, cutoff=2, verify=True)
@@ -198,13 +198,13 @@ class TestEmpiricalDensity:
     @pytest.mark.parametrize("t", [T235, T345])
     @pytest.mark.parametrize("n", [1, 7, 100, 12345, 10**5])
     def test_block_sum_equals_per_component_sum(self, t, n):
-        assert empirical_density(t, n, verify_upto=0) * n == per_component_alpha(t, n)
+        assert empirical_density(t, n, verify=False) * n == per_component_alpha(t, n)
 
     @settings(max_examples=60, deadline=None)
     @given(triple=st.sampled_from(SMALL_TRIPLES), n=st.integers(1, 3000))
     def test_block_sum_equals_per_component_sum_on_small_triples(self, triple, n):
         t = TripleParams(*triple)
-        assert empirical_density(t, n, verify_upto=0) * n == per_component_alpha(t, n)
+        assert empirical_density(t, n, verify=False) * n == per_component_alpha(t, n)
 
     @pytest.mark.parametrize(
         "triple", [(2, 3, 5), (3, 4, 5), (2, 7, 9), (5, 6, 7), (3, 7, 8), (2, 3, 1000003),
@@ -215,32 +215,32 @@ class TestEmpiricalDensity:
         t = TripleParams(*triple)
         rng = random.Random(str(triple))
         for n in (1, 2, 10**5 - 1, rng.randint(10**8, 10**9), rng.randint(10**9, 10**10)):
-            assert empirical_density(t, n, verify_upto=0) * n == floor_block_alpha(t, n), n
+            assert empirical_density(t, n, verify=False) * n == floor_block_alpha(t, n), n
 
     def test_verified_path_agrees(self):
         for n in (1, 2, 999, 3000):
-            assert empirical_density(T345, n, verify_upto=n) == empirical_density(
-                T345, n, verify_upto=0
+            assert empirical_density(T345, n, verify=True) == empirical_density(
+                T345, n, verify=False
             )
 
     def test_nonpositive_n_raises(self):
         with pytest.raises(ValueError):
-            empirical_density(T235, 0, verify_upto=-1)
+            empirical_density(T235, 0, verify=False)
 
     def test_mismatch_raises(self, monkeypatch):
         import multsidon.oracle as oracle_module
 
-        table = oracle_module.f_table
+        table = oracle_module.plateaus
 
-        def wrong_plateau(params, height, limit=None):
-            # one plateau too high: the fifth cell of height 3, the value 27
-            return tuple((value, plateau + (height == 3 and k == 5))
-                         for k, (value, plateau) in enumerate(table(params, height, limit), 1))
+        def wrong_plateau(cells):
+            # one plateau too high: the fifth cell of height 3 (first value 2**3), the value 27
+            return tuple((value, plateau + (cells[0][0] == 2**3 and k == 5))
+                         for k, (value, plateau) in enumerate(table(cells), 1))
 
-        monkeypatch.setattr(oracle_module, "f_table", wrong_plateau)
+        monkeypatch.setattr(oracle_module, "plateaus", wrong_plateau)
         with pytest.raises(VerificationError, match=r"height 3, first 5 cells: parity alpha 4 "
                                                     r"!= matching alpha 3"):
-            empirical_density(T235, 30, verify_upto=30)
+            empirical_density(T235, 30, verify=True)
 
     @pytest.mark.parametrize(
         "t, n", [(T235, 30), (T345, 999), (TripleParams(2, 3, 1000003), 5000)]
@@ -248,15 +248,15 @@ class TestEmpiricalDensity:
     def test_wrong_rising_value_sum_raises_only_when_verified(self, monkeypatch, t, n):
         import multsidon.oracle as oracle_module
 
-        exact = empirical_density(t, n, verify_upto=0)
+        exact = empirical_density(t, n, verify=False)
         count = oracle_module.admissible_count
         # one off-by-one at limit n, the term of the rising value 1
         monkeypatch.setattr(oracle_module, "admissible_count",
                             lambda params, limit: count(params, limit) + (limit == n))
         with pytest.raises(VerificationError, match="rising-value sum"):
-            empirical_density(t, n, verify_upto=n)
+            empirical_density(t, n, verify=True)
         # an unverified run prints the wrong sum: only verified runs check it
-        assert empirical_density(t, n, verify_upto=n - 1) == exact + Fraction(1, n)
+        assert empirical_density(t, n, verify=False) == exact + Fraction(1, n)
 
     @pytest.mark.parametrize(
         "t, graphs, components, heights",
@@ -266,6 +266,7 @@ class TestEmpiricalDensity:
     def test_verified_run_solves_each_truncated_component_once(
         self, monkeypatch, t, graphs, components, heights
     ):
+        import multsidon.components as components_module
         import multsidon.oracle as oracle_module
 
         n = 10**5
@@ -273,14 +274,20 @@ class TestEmpiricalDensity:
         distinct = {(p, cell_count(t, p, n // q)) for p, q in ids}
         assert (len(distinct), len(ids)) == (graphs, components)
         assert len({p for p, _ in ids}) == heights  # every height p with a**p <= n
-        sizes = []
-        matcher = oracle_module._matched_alphas
+        sizes, reads = [], []
+        matcher, read = oracle_module._matched_alphas, oracle_module.sorted_cells
         monkeypatch.setattr(oracle_module, "_matched_alphas",
                             lambda cells: sizes.append(len(cells)) or matcher(cells))
-        assert empirical_density(t, n, verify_upto=n) == empirical_density(t, n, verify_upto=0)
-        # one matcher per height, whose prefixes hold every truncated component
+        for module in (components_module, oracle_module):  # f_table reads it in components
+            monkeypatch.setattr(module, "sorted_cells",
+                                lambda *args: reads.append(args[1]) or read(*args))
+        verified = empirical_density(t, n, verify=True)
+        # each height is read once, and one matcher's prefixes hold its truncated components
+        assert reads == list(range(heights))
         assert len(sizes) == heights
         assert all(k <= sizes[p] for p, k in distinct)
+        assert verified == empirical_density(t, n, verify=False)
+        assert len(reads) == 2 * heights
 
     def test_kind_split_covers_total(self):
         report = finite_graph_report(T235, 1000, cutoff=4)
@@ -315,7 +322,7 @@ class TestGeneralMultiplicative:
     def test_parity_set_is_multiplicative(self):
         chosen = parity_independent_set(T235, 100)
         assert general_multiplicative_witness(chosen, {2}, {3, 5}) is None
-        assert len(chosen) == int(empirical_density(T235, 100, verify_upto=5000) * 100)
+        assert len(chosen) == int(empirical_density(T235, 100, verify=True) * 100)
 
     def test_equal_elements_never_violate(self):
         assert general_multiplicative_witness({2, 3, 4}, {3}, {3}) is None
