@@ -34,7 +34,7 @@ _HOMES = {
     name: home
     for home, names in (
         ("components", "TripleParams admissible_count admissible_density alpha_complete "
-                       "f_table f_value q_copy_alpha"),
+                       "f_table q_copy_alpha"),
         ("density", "ConvergenceEstimate DensityInterval approximate_density choose_cutoff "
                     "convergence_estimate delta_complete delta_small tail_bound"),
         ("oracle", "empirical_density"),

@@ -18,7 +18,7 @@ divides it by b/a or c/a.  Hence every truncation to values <= r is
 downward closed, and sorted_cells reads it row by row up to the cap r,
 each row cut at its first value above r.  In value order the running
 size of the larger parity class (plateaus) is the truncated independence
-number f(p, r) of f_table and f_value.  The density kernel reads row bands instead.
+number f(p, r) of f_table.  The density kernel reads row bands instead.
 """
 
 from __future__ import annotations
@@ -102,12 +102,6 @@ def plateaus(cells: list[tuple[int, int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(table)
 
 
-def f_value(params: TripleParams, height: int, cap: int) -> int:
-    """f(height, cap): the last plateau of f_table up to cap, 0 below a**height."""
-    table = f_table(params, height, cap)
-    return table[-1][1] if table else 0
-
-
 def q_copy_alpha(params: TripleParams, height: int, multiplier: int, n: int) -> int:
     """Independence number within [n] of the (height, multiplier) component.
 
@@ -118,7 +112,7 @@ def q_copy_alpha(params: TripleParams, height: int, multiplier: int, n: int) -> 
         raise ValueError(f"multiplier {multiplier} is divisible by one of the bases")
     if params.a**height * multiplier > n:
         raise ValueError("component does not intersect [n]")
-    return f_value(params, height, n // multiplier)
+    return f_table(params, height, n // multiplier)[-1][1]  # a**height <= n // multiplier
 
 
 def admissible_count(params: TripleParams, limit: int) -> int:

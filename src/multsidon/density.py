@@ -220,7 +220,7 @@ def choose_cutoff(params: TripleParams, eps: Fraction) -> int:
     return high
 
 
-class DensityInterval(namedtuple("DensityInterval", "params epsilon cutoff delta_complete "
+class DensityInterval(namedtuple("DensityInterval", "epsilon cutoff delta_complete "
                                                   "delta_small tail_bound lower upper")):
     """Certified enclosure [lower, upper] of the maximum density."""
 
@@ -264,7 +264,6 @@ def approximate_density(
     lower = dc + ds
     upper = min(lower + tail, Fraction(1))
     return DensityInterval(
-        params=params,
         epsilon=eps,
         cutoff=cutoff,
         delta_complete=dc,
@@ -275,7 +274,7 @@ def approximate_density(
     )
 
 
-class ConvergenceEstimate(namedtuple("ConvergenceEstimate", "params digits cutoff value decimal")):
+class ConvergenceEstimate(namedtuple("ConvergenceEstimate", "digits cutoff value decimal")):
     """Heuristic point estimate: lower endpoint stabilised to fixed decimals."""
 
     __slots__ = ()
@@ -307,9 +306,7 @@ def convergence_estimate(params: TripleParams, digits: int) -> ConvergenceEstima
         current = truncated_decimal(value, digits)
         streak = streak + 1 if current == previous else 0
         if streak >= STABLE_STEPS:
-            return ConvergenceEstimate(
-                params=params, digits=digits, cutoff=d, value=value, decimal=current
-            )
+            return ConvergenceEstimate(digits=digits, cutoff=d, value=value, decimal=current)
         previous = current
     raise ConvergenceError(
         f"({params.a}, {params.b}, {params.c}) at {digits} digits: "

@@ -25,7 +25,7 @@ the cardinality with, which path_alpha counts off the odd lengths.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator
 from math import gcd
 
 
@@ -64,16 +64,16 @@ class PathDecomposition(namedtuple("PathDecomposition", "params n lengths")):
     __slots__ = ()
 
     @property
-    def paths(self) -> Sequence[tuple[int, ...]]:
+    def paths(self) -> _PathView:
         """The paths in the order of their sources, as a read-only view."""
         return _PathView(self)
 
 
-class _PathView(Sequence):
-    """The paths of a decomposition, one tuple walked per item read.
+class _PathView:
+    """The paths of a decomposition, one tuple walked per path read.
 
-    The i-th source is the i-th integer not divisible by b_red, which is
-    i + i // (b_red - 1) + 1, so the length is n - n // b_red.
+    The sources are the integers not divisible by b_red, so there are
+    n - n // b_red of them.
     """
 
     def __init__(self, decomposition: PathDecomposition) -> None:
@@ -82,18 +82,14 @@ class _PathView(Sequence):
     def __len__(self) -> int:
         return self._d.n - self._d.n // self._d.params.b_red
 
-    def __getitem__(self, index: int) -> tuple[int, ...]:
-        size = len(self)
-        if not -size <= index < size:
-            raise IndexError("path index out of range")
-        index %= size
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
         a, b = self._d.params.a_red, self._d.params.b_red
-        v = index + index // (b - 1) + 1
-        path = [v]
-        for _ in range(self._d.lengths[v] - 1):
-            v = v // a * b
-            path.append(v)
-        return tuple(path)
+        for source in range(1, self._d.n + 1):
+            if source % b:
+                path = [source]
+                for _ in range(self._d.lengths[source] - 1):
+                    path.append(path[-1] // a * b)
+                yield tuple(path)
 
 
 class ExtremalPairSet(namedtuple("ExtremalPairSet", "n mask")):

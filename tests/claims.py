@@ -7,11 +7,12 @@ truncated components with their integer values, a maximum independent set
 read off it, the members of an extremal pair set as integers, the
 staircase lemma on random staircases, the simplified tail bound, the
 pair-set cardinality bracket, the floor-block sum of alpha(G_n), converge
-mode as one delta_small per cutoff, a Hypothesis strategy of coprime
-triples, two reference solvers of the independence number that the
-verifier's incremental matcher is checked against (Koenig duality on a
-fresh edge list, and pruned subset search up to EXHAUSTIVE_LIMIT
-vertices), and finite_graph_report, which lists
+mode as one delta_small per cutoff, the single value f(p, r) of the step
+function, the edges of [n] straight from the definition, a Hypothesis
+strategy of coprime triples, two reference solvers of the independence
+number that the verifier's incremental matcher is checked against (Koenig
+duality on a fresh edge list, and pruned subset search up to
+EXHAUSTIVE_LIMIT vertices), and finite_graph_report, which lists
 every component of [n] with its vertex count, its independence number
 (re-solved by matching on request) and a complete/small/large label.  The
 module is named so that pytest does not collect it; test modules import
@@ -333,14 +334,28 @@ def reference_convergence_estimate(params: TripleParams, digits: int) -> Converg
         current = truncated_decimal(value, digits)
         streak = streak + 1 if current == previous else 0
         if streak >= STABLE_STEPS:
-            return ConvergenceEstimate(
-                params=params, digits=digits, cutoff=d, value=value, decimal=current
-            )
+            return ConvergenceEstimate(digits=digits, cutoff=d, value=value, decimal=current)
         previous = current
     raise ConvergenceError(
         f"({params.a}, {params.b}, {params.c}) at {digits} digits: "
         f"no stabilisation within cutoff {MAX_CUTOFF}"
     )
+
+
+def f_value(params: TripleParams, height: int, cap: int) -> int:
+    """f(height, cap): the last plateau of f_table up to cap, 0 below a**height."""
+    table = f_table(params, height, cap)
+    return table[-1][1] if table else 0
+
+
+def direct_edge_scan(t: TripleParams, n: int) -> set[frozenset[int]]:
+    """All edges bx = ay or cx = ay inside [n], straight from the definition."""
+    edges = set()
+    for x in range(1, n + 1):
+        for mult in (t.b, t.c):
+            if (mult * x) % t.a == 0 and mult * x // t.a <= n:
+                edges.add(frozenset((x, mult * x // t.a)))
+    return edges
 
 
 def cell_count(params: TripleParams, height: int, cap: int) -> int:

@@ -29,7 +29,6 @@ from multsidon import (
     delta_complete,
     delta_small,
     empirical_density,
-    f_value,
     is_pair_multiplicative,
     path_alpha,
     reduce_pair,
@@ -42,6 +41,7 @@ from multsidon.oracle import general_multiplicative_witness
 from claims import (
     exact_tail_within_simplified,
     extremal_members,
+    f_value,
     finite_graph_report,
     floor_log,
     random_staircase,

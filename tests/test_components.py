@@ -13,7 +13,6 @@ from multsidon import (
     admissible_density,
     alpha_complete,
     f_table,
-    f_value,
     q_copy_alpha,
 )
 from multsidon.components import sorted_cells
@@ -23,7 +22,9 @@ from claims import (
     classify_component,
     component_instance,
     coprime_triples,
+    direct_edge_scan,
     exact_alpha_exhaustive,
+    f_value,
     grid_cell_edges,
 )
 
@@ -105,10 +106,8 @@ class UnionFind:
 def edge_relation_components(t: TripleParams, n: int) -> dict[int, frozenset[int]]:
     """Connected components of {bx = ay or cx = ay} on [n], via union-find."""
     uf = UnionFind(n)
-    for x in range(1, n + 1):
-        for mult in (t.b, t.c):
-            if (mult * x) % t.a == 0 and mult * x // t.a <= n:
-                uf.union(x, mult * x // t.a)
+    for x, y in direct_edge_scan(t, n):
+        uf.union(x, y)
     groups: dict[int, set[int]] = {}
     for v in range(1, n + 1):
         groups.setdefault(uf.find(v), set()).add(v)

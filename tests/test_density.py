@@ -19,7 +19,6 @@ from multsidon import (
     delta_complete,
     delta_small,
     f_table,
-    f_value,
     tail_bound,
 )
 from multsidon import density
@@ -30,6 +29,7 @@ from claims import (
     beta,
     coprime_triples,
     exact_tail_within_simplified,
+    f_value,
     reference_convergence_estimate,
 )
 

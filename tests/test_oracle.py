@@ -27,6 +27,7 @@ from claims import (
     cell_count,
     component_instance,
     coprime_triples,
+    direct_edge_scan,
     exact_alpha_exhaustive,
     exact_alpha_matching,
     finite_graph_report,
@@ -52,16 +53,6 @@ SMALL_TRIPLES = [
 def per_component_alpha(t: TripleParams, n: int) -> int:
     """alpha(G_n) as one step-function lookup per (height, multiplier) component."""
     return sum(q_copy_alpha(t, p, q, n) for p, q in component_ids(t, n))
-
-
-def direct_edge_scan(t: TripleParams, n: int) -> set[frozenset[int]]:
-    """All edges bx = ay or cx = ay inside [n], straight from the definition."""
-    edges = set()
-    for x in range(1, n + 1):
-        for mult in (t.b, t.c):
-            if (mult * x) % t.a == 0 and mult * x // t.a <= n:
-                edges.add(frozenset((x, mult * x // t.a)))
-    return edges
 
 
 class TestBuildGn:

@@ -388,6 +388,9 @@ class TestPathDecomposition:
         assert sorted(d.paths) == sorted(reference)
         assert path_alpha(d) == sum((len(path) + 1) // 2 for path in reference)
         assert len(d.paths) == n - n // p.b_red
+        # the view walks the sources, the integers not divisible by b_red, upward
+        assert [path[0] for path in d.paths] == [x for x in range(1, n + 1) if x % p.b_red]
+        assert len(list(d.paths)) == len(d.paths)
 
     @pytest.mark.parametrize("a,b", [(2, 3), (3, 5), (2, 4)])
     def test_distance_equals_subpower_index(self, a, b):

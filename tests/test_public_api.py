@@ -8,7 +8,8 @@ tests need live in tests/claims.py instead.
 
 The package namespace is lazy: each exported name resolves to the object
 of its home module on first use.  The records are immutable named tuples
-that validate their fields when built.
+that validate their fields when built, and the functions refuse arguments
+outside their domain with a message that names the argument.
 """
 
 import ast
@@ -22,10 +23,12 @@ import multsidon
 from multsidon import density, oracle
 from multsidon.components import TripleParams
 from multsidon.pair_sidon import ExtremalPairSet, PairParams, reduce_pair
+from multsidon.rational import truncated_decimal
 
 import claims
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "multsidon"
+T235 = TripleParams(2, 3, 5)
 
 
 def test_every_public_definition_is_used_in_src():
@@ -56,7 +59,7 @@ def test_every_public_definition_is_used_in_src():
 # names moved to tests/claims.py below.
 EXPORTS = {
     "components": ("TripleParams", "admissible_count", "admissible_density", "alpha_complete",
-                   "f_table", "f_value", "q_copy_alpha"),
+                   "f_table", "q_copy_alpha"),
     "density": ("ConvergenceEstimate", "DensityInterval", "approximate_density",
                 "choose_cutoff", "convergence_estimate", "delta_complete", "delta_small",
                 "tail_bound"),
@@ -77,12 +80,13 @@ def test_every_export_is_its_home_modules_object(home, name):
     assert name in dir(multsidon) and name in multsidon.__all__
 
 
-# The labelled component report, the truncated component with its values and
-# the two reference solvers of the verifier's matcher, which only the tests
-# read, live in tests/claims.py.
+# The labelled component report, the truncated component with its values,
+# the two reference solvers of the verifier's matcher and the single step
+# value f_value, which only the tests read, live in tests/claims.py.
 MOVED_TO_CLAIMS = ("ComponentId", "ComponentInstance", "ComponentSummary", "FiniteGraphReport",
                    "cell_count", "classify_component", "component_instance",
-                   "exact_alpha_exhaustive", "exact_alpha_matching", "finite_graph_report")
+                   "exact_alpha_exhaustive", "exact_alpha_matching", "f_value",
+                   "finite_graph_report")
 
 
 @pytest.mark.parametrize("name", MOVED_TO_CLAIMS)
@@ -127,6 +131,36 @@ def test_exceptions_are_the_packages():
 def test_records_validate_when_built(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: multsidon.alpha_complete(-1), ValueError, "height must be >= 0, got -1"),
+        (lambda: multsidon.f_table(T235, -1), ValueError, "height must be >= 0, got -1"),
+        (lambda: multsidon.admissible_count(T235, -1), ValueError,
+         "limit must be >= 0, got -1"),
+        (lambda: multsidon.delta_small(T235, -1), ValueError, "cutoff must be >= 0, got -1"),
+        (lambda: multsidon.tail_bound(T235, -1), ValueError, "cutoff must be >= 0, got -1"),
+        (lambda: next(oracle.component_ids(T235, 0)), ValueError, "n must be positive, got 0"),
+        (lambda: multsidon.construct_extremal_set(reduce_pair(2, 3), 0), ValueError,
+         "n must be positive, got 0"),
+        (lambda: multsidon.build_path_decomposition(reduce_pair(2, 3), 0), ValueError,
+         "n must be positive, got 0"),
+        (lambda: oracle.general_multiplicative_witness([0, 1], [2], [3]), ValueError,
+         "all inputs must be positive"),
+        (lambda: multsidon.is_pair_multiplicative(
+            multsidon.construct_extremal_set(reduce_pair(2, 3), 10), 3, 2), ValueError,
+         "need 1 <= a < b, got a=3, b=2"),
+        (lambda: truncated_decimal(Fraction(-1, 2), 3), ValueError,
+         "only nonnegative values are rendered"),
+        (lambda: truncated_decimal(Fraction(1, 2), -1), ValueError, "digits must be >= 0"),
+    ],
+)
+def test_library_refuses_bad_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize(
