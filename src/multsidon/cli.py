@@ -246,8 +246,7 @@ def _cmd_pair_density(args: argparse.Namespace) -> int:
     }
     plain = (
         f"maximum density for a={params.a}, b={params.b} (gcd {params.g}): "
-        f"{format_rational(density)} = {truncated_decimal(density, args.digits)} "
-        f"(truncated to {args.digits} digits)"
+        f"{report['density']} = {report['decimal']} (truncated to {args.digits} digits)"
     )
     _emit(report, None, args.format, plain)
     return 0
@@ -267,7 +266,7 @@ def _cmd_pair_construct(args: argparse.Namespace) -> int:
     if args.verify:
         if cardinality != alpha:
             raise VerificationError(f"cardinality {cardinality} != path optimum {alpha}")
-        if not pair_sidon.is_pair_multiplicative(extremal, params.a, params.b):
+        if not pair_sidon.is_pair_multiplicative(extremal, params):
             raise VerificationError("constructed set violates the defining condition")
     if args.format == "csv":
         # csv.DictWriter's bytes for the one column "member"; 1 is always a member
@@ -312,7 +311,7 @@ def _cmd_triple_density(args: argparse.Namespace) -> int:
             "a": params.a,
             "b": params.b,
             "c": params.c,
-            "digits": estimate.digits,
+            "digits": args.digits,
             "d": estimate.cutoff,
             "value": format_rational(estimate.value),
             "decimal": estimate.decimal,
@@ -320,7 +319,7 @@ def _cmd_triple_density(args: argparse.Namespace) -> int:
         }
         plain = (
             f"converged estimate for ({params.a},{params.b},{params.c}): "
-            f"{estimate.decimal} ({estimate.digits} digits, cutoff {estimate.cutoff})"
+            f"{estimate.decimal} ({args.digits} digits, cutoff {estimate.cutoff})"
         )
         _emit(report, None, args.format, plain)
         return 0
@@ -346,12 +345,9 @@ def _cmd_triple_density(args: argparse.Namespace) -> int:
         "decimal_rounding": "truncated toward zero",
     }
     plain = (
-        f"certified interval for ({params.a},{params.b},{params.c}) at cutoff "
-        f"{interval.cutoff}:\n"
-        f"  lower {format_rational(interval.lower)}"
-        f" = {truncated_decimal(interval.lower, args.digits)}\n"
-        f"  upper {format_rational(interval.upper)}"
-        f" = {truncated_decimal(interval.upper, args.digits)}\n"
+        f"certified interval for ({params.a},{params.b},{params.c}) at cutoff {interval.cutoff}:\n"
+        f"  lower {report['lower']} = {report['lower_decimal']}\n"
+        f"  upper {report['upper']} = {report['upper_decimal']}\n"
         f"  width <= {truncated_decimal(interval.tail_bound, args.digits)}"
         f" ({args.digits} digits, truncated)"
     )
@@ -423,8 +419,8 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
         "verified": verify,
     }
     plain = (
-        f"alpha(G_{args.n}) / {args.n} = {format_rational(ratio)} = "
-        f"{truncated_decimal(ratio, args.digits)} (truncated to {args.digits} digits)"
+        f"alpha(G_{args.n}) / {args.n} = {report['ratio']} = "
+        f"{report['decimal']} (truncated to {args.digits} digits)"
         + (" [components cross-checked]" if verify else "")
     )
     _emit(report, None, args.format, plain)

@@ -76,7 +76,7 @@ state outlives a call; converge mode folds one generator for every cutoff.
 from __future__ import annotations
 
 import sys
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import defaultdict, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
@@ -202,22 +202,17 @@ def choose_cutoff(params: TripleParams, eps: Fraction) -> int:
     """Smallest cutoff whose tail bound is at most eps.
 
     The tail bound is non-increasing in the cutoff (tail(0) == tail(1),
-    since the height-0 term is zero), so the cutoff is found exactly by
-    doubling until the bound suffices and then bisecting.
+    since the height-0 term is zero), so doubling high = 0, 1, 3, 7, ...
+    until it suffices, then bisect_left above the last refused high finds it.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie strictly between 0 and 1, got {eps}")
-    low, high = -1, 0  # tail(low) > eps >= tail(high) on exit; -1 means none tried
+    high = 0
     while tail_bound(params, high) > eps:
-        low, high = high, 2 * high + 1
-    while high - low > 1:
-        middle = (low + high) // 2
-        if tail_bound(params, middle) > eps:
-            low = middle
-        else:
-            high = middle
-    return high
+        high = 2 * high + 1
+    return bisect_left(range(high), True, (high + 1) // 2,
+                       key=lambda d: tail_bound(params, d) <= eps)
 
 
 class DensityInterval(namedtuple("DensityInterval", "epsilon cutoff delta_complete "
@@ -274,8 +269,8 @@ def approximate_density(
     )
 
 
-class ConvergenceEstimate(namedtuple("ConvergenceEstimate", "digits cutoff value decimal")):
-    """Heuristic point estimate: lower endpoint stabilised to fixed decimals."""
+class ConvergenceEstimate(namedtuple("ConvergenceEstimate", "cutoff value decimal")):
+    """Heuristic point estimate: lower endpoint stable when truncated to the asked digits."""
 
     __slots__ = ()
 
@@ -306,7 +301,7 @@ def convergence_estimate(params: TripleParams, digits: int) -> ConvergenceEstima
         current = truncated_decimal(value, digits)
         streak = streak + 1 if current == previous else 0
         if streak >= STABLE_STEPS:
-            return ConvergenceEstimate(digits=digits, cutoff=d, value=value, decimal=current)
+            return ConvergenceEstimate(cutoff=d, value=value, decimal=current)
         previous = current
     raise ConvergenceError(
         f"({params.a}, {params.b}, {params.c}) at {digits} digits: "

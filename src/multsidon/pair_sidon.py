@@ -15,7 +15,7 @@ Those vertices are exactly the even subpowers of b/g.
 
 construct_extremal_set sieves the set in one byte per x <= n and keeps it
 as that byte mask, with no int object per member; is_pair_multiplicative
-checks the condition on that mask and on no other kind of set.
+checks the condition on that mask, for the reduced pair of a PairParams.
 build_path_decomposition solves the edge relation in one sweep for the
 path length from each vertex onward, one byte per vertex, without building
 the paths: the independent optimum that pair-construct --verify compares
@@ -137,22 +137,19 @@ def construct_extremal_set(params: PairParams, n: int) -> ExtremalPairSet:
     return ExtremalPairSet(n=n, mask=bytes(mask))
 
 
-def is_pair_multiplicative(extremal: ExtremalPairSet, a: int, b: int) -> bool:
-    """True iff no x, y in the set satisfy a*x == b*y.
+def is_pair_multiplicative(extremal: ExtremalPairSet, params: PairParams) -> bool:
+    """True iff no x, y in the set satisfy params.a*x == params.b*y.
 
-    With a, b reduced by their gcd, a*x == b*y holds exactly when x == b*t
-    and y == a*t for some t >= 1, and t <= n // b for members up to n.  So
-    the condition is one AND of the strided slices mask[b*t] and mask[a*t],
-    t = 1 .. n // b, of the set's own mask, read as integers.  Only an
-    ExtremalPairSet is accepted; oracle.general_multiplicative_witness
+    With a, b = params.a_red, params.b_red, a*x == b*y holds exactly when
+    x == b*t and y == a*t for some t >= 1, and t <= n // b for members up to
+    n.  So the condition is one AND of the strided slices mask[b*t] and
+    mask[a*t], t = 1 .. n // b, of the set's own mask, read as integers.
+    Only an ExtremalPairSet is accepted; oracle.general_multiplicative_witness
     answers the same question for any finite set, with A = {a}, B = {b}.
     """
     if not isinstance(extremal, ExtremalPairSet):
         raise TypeError("is_pair_multiplicative checks an ExtremalPairSet")
-    if not 1 <= a < b:
-        raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-    g = gcd(a, b)
-    a, b = a // g, b // g
+    a, b = params.a_red, params.b_red
     k = extremal.n // b
     high = int.from_bytes(extremal.mask[b : b * k + 1 : b], "big")
     low = int.from_bytes(extremal.mask[a : a * k + 1 : a], "big")

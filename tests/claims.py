@@ -334,7 +334,7 @@ def reference_convergence_estimate(params: TripleParams, digits: int) -> Converg
         current = truncated_decimal(value, digits)
         streak = streak + 1 if current == previous else 0
         if streak >= STABLE_STEPS:
-            return ConvergenceEstimate(digits=digits, cutoff=d, value=value, decimal=current)
+            return ConvergenceEstimate(cutoff=d, value=value, decimal=current)
         previous = current
     raise ConvergenceError(
         f"({params.a}, {params.b}, {params.c}) at {digits} digits: "

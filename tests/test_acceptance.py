@@ -184,7 +184,7 @@ def test_criterion_3_pair_exactness():
                 break
         # one violation inside T_2000 would also be a violation in T_n below it
         extremal = construct_extremal_set(p, 2000)
-        if not is_pair_multiplicative(extremal, a, b):
+        if not is_pair_multiplicative(extremal, p):
             failures.append(f"({a},{b}): T_2000 violates the condition")
         if general_multiplicative_witness(extremal_members(extremal), [a], [b]) is not None:
             failures.append(f"({a},{b}): the witness search finds a violation in T_2000")

@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -131,7 +132,7 @@ class TestPairConstruct:
 
     def test_condition_violation_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            multsidon.pair_sidon, "is_pair_multiplicative", lambda members, a, b: False
+            multsidon.pair_sidon, "is_pair_multiplicative", lambda members, params: False
         )
         self.assert_verify_fails_silently(capsys, "defining condition")
 
@@ -760,6 +761,73 @@ class TestJsonRoundTrip:
                     "lower", "upper"):
             value = Fraction(report[key])
             assert format_rational(value) == report[key]
+
+
+def plain_and_json(argv: list[str]) -> tuple[str, dict]:
+    """One command's --format plain text and its json report, each from its own run."""
+    texts = []
+    for fmt in ("plain", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--format", fmt]) == 0
+        texts.append(out.getvalue())
+    return texts[0], json.loads(texts[1])
+
+
+@st.composite
+def small_triples(draw) -> tuple[int, int, int]:
+    """Pairwise coprime 1 < a < b < c <= 40."""
+    a = draw(st.integers(2, 6))
+    b = draw(st.integers(a + 1, 20).filter(lambda b: gcd(a, b) == 1))
+    c = draw(st.integers(b + 1, 40).filter(lambda c: gcd(a * b, c) == 1))
+    return a, b, c
+
+
+class TestPlainMatchesJson:
+    """Every rational and decimal in a plain line equals its json field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 40))
+    def test_pair_density(self, a, delta, digits):
+        plain, report = plain_and_json(
+            ["pair-density", "--a", str(a), "--b", str(a + delta), "--digits", str(digits)])
+        assert plain == (
+            f"maximum density for a={report['a']}, b={report['b']} (gcd {report['g']}): "
+            f"{report['density']} = {report['decimal']} "
+            f"(truncated to {report['decimal_digits']} digits)\n"
+        )
+        assert report["decimal_digits"] == digits
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_triples(), st.one_of(st.integers(1, 30).map(lambda k: ["--eps", f"1e-{k}"]),
+                                      st.integers(0, 30).map(lambda d: ["--d", str(d)])),
+           st.integers(0, 40))
+    def test_certified_triple_density(self, triple, precision, digits):
+        a, b, c = triple
+        plain, report = plain_and_json(["triple-density", "--a", str(a), "--b", str(b),
+                                        "--c", str(c), *precision, "--digits", str(digits)])
+        width = truncated_decimal(Fraction(report["tail_bound"]), digits)
+        assert plain == (
+            f"certified interval for ({a},{b},{c}) at cutoff {report['d']}:\n"
+            f"  lower {report['lower']} = {report['lower_decimal']}\n"
+            f"  upper {report['upper']} = {report['upper_decimal']}\n"
+            f"  width <= {width} ({report['decimal_digits']} digits, truncated)\n"
+        )
+        assert report["decimal_digits"] == digits
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_triples(), st.integers(1, 3000), st.booleans(), st.integers(0, 40))
+    def test_empirical(self, triple, n, verify, digits):
+        a, b, c = triple
+        plain, report = plain_and_json(
+            ["empirical", "--a", str(a), "--b", str(b), "--c", str(c), "--n", str(n),
+             "--verify-upto", str(n if verify else 0), "--digits", str(digits)])
+        assert plain == (
+            f"alpha(G_{n}) / {n} = {report['ratio']} = {report['decimal']} "
+            f"(truncated to {report['decimal_digits']} digits)"
+            + (" [components cross-checked]" if report["verified"] else "") + "\n"
+        )
+        assert (report["verified"], report["decimal_digits"]) == (verify, digits)
 
 
 @st.composite

@@ -483,6 +483,7 @@ class TestConvergenceEstimate:
         for digits in range(1, 13):
             expected = reference_convergence_estimate(t, digits)
             assert convergence_estimate(t, digits) == expected, digits
+            assert len(expected.decimal.partition(".")[2]) == digits
 
     @pytest.mark.parametrize("digits", [0, 13, -2])
     def test_rejects_bad_digits(self, digits):

@@ -29,7 +29,7 @@ def brute_force_max_pair_set(a: int, b: int, n: int) -> int:
     universe = range(1, n + 1)
     for size in range(n, best, -1):
         for subset in combinations(universe, size):
-            if is_pair_multiplicative(mask_set(subset, n), a, b):
+            if is_pair_multiplicative(mask_set(subset, n), reduce_pair(a, b)):
                 return size
     return 0
 
@@ -248,23 +248,23 @@ class TestExtremalPairSet:
 
 class TestIsPairMultiplicative:
     def test_direct_violation(self):
-        assert not is_pair_multiplicative(mask_set({1, 2, 4}), 1, 2)
+        assert not is_pair_multiplicative(mask_set({1, 2, 4}), reduce_pair(1, 2))
 
     def test_constructed_set_passes(self):
         s = construct_extremal_set(reduce_pair(2, 3), 100)
-        assert is_pair_multiplicative(s, 2, 3)
+        assert is_pair_multiplicative(s, reduce_pair(2, 3))
         assert general_multiplicative_witness(extremal_members(s), [2], [3]) is None
 
     def test_empty_set(self):
-        assert is_pair_multiplicative(mask_set(set(), 10), 3, 7)
-        assert is_pair_multiplicative(mask_set(set()), 3, 7)
+        assert is_pair_multiplicative(mask_set(set(), 10), reduce_pair(3, 7))
+        assert is_pair_multiplicative(mask_set(set()), reduce_pair(3, 7))
 
     def test_exhaustive_pair_check_agreement(self):
         # mask check against the O(|S|^2) definition
         members = extremal_members(construct_extremal_set(reduce_pair(2, 5), 60))
         for candidate in (set(members), set(members) | {15}, {2, 5}):
             naive = all(2 * x != 5 * y for x in candidate for y in candidate)
-            assert is_pair_multiplicative(mask_set(candidate), 2, 5) == naive
+            assert is_pair_multiplicative(mask_set(candidate), reduce_pair(2, 5)) == naive
 
     @pytest.mark.parametrize(
         "members",
@@ -273,7 +273,7 @@ class TestIsPairMultiplicative:
     )
     def test_rejects_a_plain_set(self, members):
         with pytest.raises(TypeError, match="checks an ExtremalPairSet"):
-            is_pair_multiplicative(members, 2, 3)
+            is_pair_multiplicative(members, reduce_pair(2, 3))
 
     @settings(max_examples=200)
     @given(
@@ -288,7 +288,7 @@ class TestIsPairMultiplicative:
     def test_equals_definition(self, a_red, delta, g, members):
         a, b = a_red * g, (a_red + delta) * g
         expected = definition_is_pair_multiplicative(members, a, b)
-        assert is_pair_multiplicative(mask_set(members), a, b) == expected
+        assert is_pair_multiplicative(mask_set(members), reduce_pair(a, b)) == expected
         assert (general_multiplicative_witness(members, [a], [b]) is None) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -313,7 +313,7 @@ class TestIsPairMultiplicative:
         a, b = a_red * g, (a_red + delta) * g
         members = set(extremal_members(construct_extremal_set(reduce_pair(a, b), n)))
         members.add({"n": n, "max": max(members), "other": 1 + other % n}[where])
-        assert is_pair_multiplicative(mask_set(members), a, b) == (
+        assert is_pair_multiplicative(mask_set(members), reduce_pair(a, b)) == (
             definition_is_pair_multiplicative(members, a, b)
         )
 
@@ -342,7 +342,7 @@ class TestIsPairMultiplicative:
         s = ExtremalPairSet(n=n, mask=bytes(mask))
         members = extremal_members(s)
         expected = definition_is_pair_multiplicative(members, a, b)
-        assert is_pair_multiplicative(s, a, b) == expected
+        assert is_pair_multiplicative(s, reduce_pair(a, b)) == expected
         assert (general_multiplicative_witness(members, [a], [b]) is None) == expected
 
 
@@ -447,7 +447,7 @@ class TestPathAlpha:
         odd = {x for x in range(1, 9) if d.lengths[x] % 2}
         assert odd == {2, 5, 6, 7, 8}
         assert set(extremal_members(construct_extremal_set(p, 8))) == {1, 3, 4, 5, 7}
-        assert is_pair_multiplicative(mask_set(odd, 8), 1, 2)
+        assert is_pair_multiplicative(mask_set(odd, 8), reduce_pair(1, 2))
         assert path_alpha(d) == len(odd)
 
 
@@ -511,4 +511,4 @@ def test_construction_is_optimal_and_valid(a, delta, n):
     p = reduce_pair(a, b)
     s = construct_extremal_set(p, n)
     assert s.cardinality == path_alpha(build_path_decomposition(p, n))
-    assert is_pair_multiplicative(s, a, b)
+    assert is_pair_multiplicative(s, p)

@@ -150,9 +150,6 @@ def test_records_validate_when_built(build, error, message):
          "n must be positive, got 0"),
         (lambda: oracle.general_multiplicative_witness([0, 1], [2], [3]), ValueError,
          "all inputs must be positive"),
-        (lambda: multsidon.is_pair_multiplicative(
-            multsidon.construct_extremal_set(reduce_pair(2, 3), 10), 3, 2), ValueError,
-         "need 1 <= a < b, got a=3, b=2"),
         (lambda: truncated_decimal(Fraction(-1, 2), 3), ValueError,
          "only nonnegative values are rendered"),
         (lambda: truncated_decimal(Fraction(1, 2), -1), ValueError, "digits must be >= 0"),
