@@ -13,7 +13,7 @@ such as io.StringIO, gets text.
 Work is bounded up front: --digits must lie in [0, MAX_DECIMAL_DIGITS],
 pair-construct refuses n above MAX_PAIR_N, since it holds the whole set in
 memory, and empirical refuses n above MAX_EMPIRICAL_N, or above
-MAX_VERIFIED_N when n <= --verify-upto asks for the O(n) cross-check.  The
+MAX_VERIFIED_N with --verify, which asks for the O(n) cross-check.  The
 triple commands refuse a cutoff above density.MAX_CUTOFF (500), and an
 --eps whose decimal exponent exceeds MAX_EPS_EXPONENT in magnitude, before
 the Fraction is built, and a cutoff whose rationals are too long to print.
@@ -131,13 +131,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
     return value
 
 
@@ -396,16 +389,14 @@ def _cmd_triple_table(args: argparse.Namespace) -> int:
 def _cmd_empirical(args: argparse.Namespace) -> int:
     if args.n > MAX_EMPIRICAL_N:
         raise ValueError(f"--n {args.n} exceeds the limit of {MAX_EMPIRICAL_N} for empirical")
-    verify = args.n <= args.verify_upto
-    if verify and args.n > MAX_VERIFIED_N:
+    if args.verify and args.n > MAX_VERIFIED_N:
         raise ValueError(
-            f"--n {args.n} exceeds the limit of {MAX_VERIFIED_N} for a verified run "
-            f"(n <= --verify-upto {args.verify_upto})"
+            f"--n {args.n} exceeds the limit of {MAX_VERIFIED_N} for empirical --verify"
         )
     from .components import TripleParams
 
     params = TripleParams(args.a, args.b, args.c)
-    ratio = empirical_density(params, args.n, verify=verify)
+    ratio = empirical_density(params, args.n, verify=args.verify)
     alpha = ratio.numerator * args.n // ratio.denominator
     report = {
         "command": "empirical",
@@ -416,12 +407,12 @@ def _cmd_empirical(args: argparse.Namespace) -> int:
         "alpha": alpha,
         "ratio": format_rational(ratio),
         **_decimal_fields(ratio, args.digits),
-        "verified": verify,
+        "verified": args.verify,
     }
     plain = (
         f"alpha(G_{args.n}) / {args.n} = {report['ratio']} = "
         f"{report['decimal']} (truncated to {args.digits} digits)"
-        + (" [components cross-checked]" if verify else "")
+        + (" [components cross-checked]" if args.verify else "")
     )
     _emit(report, None, args.format, plain)
     return 0
@@ -464,9 +455,7 @@ def _cmd_check_set(args: argparse.Namespace) -> int:
     if work > MAX_CHECK_WORK:
         raise ValueError(f"|A| * |B| * |set| = {work} exceeds the limit of {MAX_CHECK_WORK}, "
                          f"each number counted once per {WORD_BITS} bits, rounded up")
-    witness = None
-    if members:
-        witness = general_multiplicative_witness(members, args.A, args.B)
+    witness = general_multiplicative_witness(members, args.A, args.B)
     holds = witness is None
     report = {
         "command": "check-set",
@@ -551,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_positive_int, required=True)
     p.add_argument("--c", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--verify-upto", type=_nonnegative_int, default=0, dest="verify_upto",
-                   help="re-solve every component by matching, O(n), if n <= this")
+    p.add_argument("--verify", action="store_true",
+                   help="re-solve every component by matching, O(n)")
     add_common(p)
     p.set_defaults(func=_cmd_empirical)
 

@@ -13,9 +13,10 @@ most one, so [n] splits into disjoint directed paths, and a maximum
 independent set takes the vertices at even distance from each path source.
 Those vertices are exactly the even subpowers of b/g.
 
-construct_extremal_set sieves the set in one byte per x <= n and keeps it
-as that byte mask, with no int object per member; is_pair_multiplicative
-checks the condition on that mask, for the reduced pair of a PairParams.
+PairParams(a, b) works out g and the reduced pair (reduce_pair is the same
+class).  construct_extremal_set sieves the set in one byte per x <= n into a
+byte mask, with no int object per member; is_pair_multiplicative checks the
+condition on that mask, for the reduced pair of a PairParams.
 build_path_decomposition solves the edge relation in one sweep for the
 path length from each vertex onward, one byte per vertex, without building
 the paths: the independent optimum that pair-construct --verify compares
@@ -30,26 +31,22 @@ from math import gcd
 
 
 class PairParams(namedtuple("PairParams", "a b g a_red b_red")):
-    """A validated pair 1 <= a < b together with its coprime reduction."""
+    """A validated pair 1 <= a < b, with g = gcd(a, b) and the coprime (a/g, b/g)."""
 
     __slots__ = ()
 
-    def __new__(cls, a: int, b: int, g: int, a_red: int, b_red: int) -> PairParams:
+    def __new__(cls, a: int, b: int) -> PairParams:
         if not 1 <= a < b:
             raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-        if g != gcd(a, b):
-            raise ValueError("g must equal gcd(a, b)")
-        if (a_red, b_red) != (a // g, b // g):
-            raise ValueError("reduced pair must be (a/g, b/g)")
-        return super().__new__(cls, a, b, g, a_red, b_red)
+        g = gcd(a, b)
+        return super().__new__(cls, a, b, g, a // g, b // g)
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.a, self.b
 
 
-def reduce_pair(a: int, b: int) -> PairParams:
-    """Validate 1 <= a < b and divide out the gcd."""
-    if not isinstance(a, int) or not isinstance(b, int):
-        raise TypeError("a and b must be integers")
-    g = gcd(a, b) or 1  # gcd(0, 0) == 0; PairParams rejects that pair
-    return PairParams(a=a, b=b, g=g, a_red=a // g, b_red=b // g)
+# Call sites that only want the reduction read better as reduce_pair(a, b).
+reduce_pair = PairParams
 
 
 class PathDecomposition(namedtuple("PathDecomposition", "params n lengths")):

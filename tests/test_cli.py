@@ -4,11 +4,13 @@ import contextlib
 import csv
 import io
 import json
+import shlex
 import sys
 import time
 from fractions import Fraction
 from itertools import compress
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +30,7 @@ from multsidon.cli import (
     MAX_SET_MEMBERS,
     MAX_VERIFIED_N,
     _member_text,
+    build_parser,
     main,
 )
 from multsidon.rational import format_rational, truncated_decimal
@@ -408,7 +411,7 @@ class TestEmpirical:
     def test_verified_run(self, capsys):
         report = run_json(
             capsys, "empirical", "--a", "2", "--b", "3", "--c", "5",
-            "--n", "1000", "--verify-upto", "5000",
+            "--n", "1000", "--verify",
         )
         assert report["verified"] is True
         assert report["alpha"] == 728
@@ -416,8 +419,8 @@ class TestEmpirical:
 
     def test_verified_and_block_sum_agree(self, capsys):
         argv = ("empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "3000")
-        verified = run_json(capsys, *argv, "--verify-upto", "3000")
-        fast = run_json(capsys, *argv, "--verify-upto", "0")
+        verified = run_json(capsys, *argv, "--verify")
+        fast = run_json(capsys, *argv)
         assert verified["verified"] is True and fast["verified"] is False
         del verified["verified"], fast["verified"]
         assert verified == fast
@@ -429,7 +432,7 @@ class TestEmpirical:
         for fmt in ("json", "csv", "plain"):
             code, out, err = run_cli(
                 capsys, "empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "300",
-                "--verify-upto", "300", "--format", fmt,
+                "--verify", "--format", fmt,
             )
             assert (code, out) == (3, ""), fmt
             assert err.startswith("verification failed: ") and "rising-value sum" in err, fmt
@@ -443,7 +446,7 @@ class TestEmpirical:
         for fmt in ("json", "csv", "plain"):
             code, out, err = run_cli(
                 capsys, "empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "300",
-                "--verify-upto", "300", "--format", fmt,
+                "--verify", "--format", fmt,
             )
             assert (code, out) == (3, ""), fmt
             assert err.startswith("verification failed: height 1, first 3 cells: parity alpha 2 "
@@ -453,7 +456,7 @@ class TestEmpirical:
         matcher = multsidon.oracle._matched_alphas
         monkeypatch.setattr(multsidon.oracle, "_matched_alphas", lambda cells: matcher(cells)[:-1])
         code, out, err = run_cli(capsys, "empirical", "--a", "2", "--b", "3", "--c", "5",
-                                 "--n", "300", "--verify-upto", "300")
+                                 "--n", "300", "--verify")
         assert (code, out) == (3, "")
         assert err == ("verification failed: height 0, first 1 cells: parity alpha 1 "
                        "!= matching alpha None\n")
@@ -468,28 +471,28 @@ class TestEmpirical:
         assert 0 < report["alpha"] <= n
 
     @pytest.mark.parametrize(
-        "n, verify_upto, limit",
+        "command, n, limit, refused_for",
         [
-            (10**16, 0, MAX_EMPIRICAL_N),
-            (MAX_EMPIRICAL_N + 1, 0, MAX_EMPIRICAL_N),
-            (MAX_VERIFIED_N + 1, MAX_VERIFIED_N + 1, MAX_VERIFIED_N),
-            (10**9, 10**12, MAX_VERIFIED_N),
+            ("empirical", 10**16, MAX_EMPIRICAL_N, "empirical"),
+            ("empirical", MAX_EMPIRICAL_N + 1, MAX_EMPIRICAL_N, "empirical"),
+            ("empirical --verify", 10**16, MAX_EMPIRICAL_N, "empirical"),
+            ("empirical --verify", MAX_VERIFIED_N + 1, MAX_VERIFIED_N, "empirical --verify"),
+            ("empirical --verify", 10**9, MAX_VERIFIED_N, "empirical --verify"),
         ],
     )
-    def test_n_above_limit_exits_2_before_any_work(self, capsys, monkeypatch, n, verify_upto,
-                                                     limit):
+    def test_n_above_limit_exits_2_before_any_work(self, capsys, monkeypatch, command, n, limit,
+                                                     refused_for):
         def refuse(*args, **kwargs):
             raise AssertionError("nothing may be computed above the limit")
 
         monkeypatch.setattr(multsidon.cli, "empirical_density", refuse)
         start = time.perf_counter()
         code, out, err = run_cli(
-            capsys, "empirical", "--a", "2", "--b", "3", "--c", "5",
-            "--n", str(n), "--verify-upto", str(verify_upto),
+            capsys, *command.split(), "--a", "2", "--b", "3", "--c", "5", "--n", str(n),
         )
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
-        assert f"--n {n} " in err and str(limit) in err
+        assert err == f"error: --n {n} exceeds the limit of {limit} for {refused_for}\n"
         assert (MAX_EMPIRICAL_N, MAX_VERIFIED_N) == (10**12, 10**5)
 
     def test_limits_are_inclusive(self, capsys, monkeypatch):
@@ -497,11 +500,11 @@ class TestEmpirical:
         monkeypatch.setattr(multsidon.cli, "MAX_VERIFIED_N", 100)
         base = ("empirical", "--a", "2", "--b", "3", "--c", "5")
         assert run_json(capsys, *base, "--n", "1000")["verified"] is False
-        assert run_json(capsys, *base, "--n", "100", "--verify-upto", "100")["verified"] is True
+        assert run_json(capsys, *base, "--n", "100", "--verify")["verified"] is True
         # above the verify limit, a run is accepted as long as it is not verified
-        assert run_json(capsys, *base, "--n", "101", "--verify-upto", "100")["verified"] is False
-        for n, verify_upto, limit in (("1001", "0", "1000"), ("101", "101", "100")):
-            code, out, err = run_cli(capsys, *base, "--n", n, "--verify-upto", verify_upto)
+        assert run_json(capsys, *base, "--n", "101")["verified"] is False
+        for n, flags, limit in (("1001", (), "1000"), ("101", ("--verify",), "100")):
+            code, out, err = run_cli(capsys, *base, "--n", n, *flags)
             assert (code, out) == (2, "")
             assert f"--n {n} " in err and f"limit of {limit} " in err
 
@@ -538,15 +541,15 @@ class TestEmpirical:
         pair = build_path_decomposition(reduce_pair(a, b), n)
         assert report["alpha"] == path_alpha(pair)
 
-    def test_negative_verify_upto_exits_2(self, capsys):
+    def test_verify_upto_is_refused_at_parse(self, capsys):
+        # --verify is a yes/no flag; the old threshold option no longer exists
         with pytest.raises(SystemExit) as exc:
             main(["empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "10",
-                  "--verify-upto", "-5"])
+                  "--verify-upto", "5"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1].endswith(
-            "argument --verify-upto: must be a non-negative integer: '-5'"
-        )
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith("unrecognized arguments: --verify-upto 5")
 
 
 class TestCheckSet:
@@ -584,9 +587,17 @@ class TestCheckSet:
 
     def test_empty_file(self, capsys, tmp_path):
         path = self.write(tmp_path, [])
-        report = run_json(capsys, "check-set", "--A", "2", "--B", "3,5",
-                          "--set-file", path)
-        assert report["multiplicative"] is True
+        expected = {
+            "json": '{\n  "A": [\n    2\n  ],\n  "B": [\n    3,\n    5\n  ],\n'
+                    '  "command": "check-set",\n  "multiplicative": true,\n  "size": 0,\n'
+                    '  "witness": null\n}\n',
+            "csv": 'A,B,size,multiplicative,witness\r\n2,"3,5",0,True,\r\n',
+            "plain": "set of 0 elements is multiplicative for the given A, B\n",
+        }
+        for fmt, text in expected.items():
+            code, out, err = run_cli(capsys, "check-set", "--A", "2", "--B", "3,5",
+                                     "--set-file", path, "--format", fmt)
+            assert (code, out, err) == (0, text, ""), fmt
 
     def test_malformed_line_exits_2(self, capsys, tmp_path):
         path = self.write(tmp_path, [1, "noise", 9])
@@ -716,6 +727,16 @@ def test_malformed_argument_exits_2_at_parse(capsys, argv, message):
     assert err.splitlines()[-1].endswith(message)
 
 
+def test_readme_cli_examples_parse():
+    """Every multsidon line of the README's CLI block parses, so no renamed flag stays there."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("multsidon ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
 class TestPatchContract:
     """Each command reads these names on multsidon.cli when it runs, so a patch there is called.
 
@@ -821,7 +842,7 @@ class TestPlainMatchesJson:
         a, b, c = triple
         plain, report = plain_and_json(
             ["empirical", "--a", str(a), "--b", str(b), "--c", str(c), "--n", str(n),
-             "--verify-upto", str(n if verify else 0), "--digits", str(digits)])
+             *(["--verify"] if verify else []), "--digits", str(digits)])
         assert plain == (
             f"alpha(G_{n}) / {n} = {report['ratio']} = {report['decimal']} "
             f"(truncated to {report['decimal_digits']} digits)"

@@ -1,7 +1,10 @@
 """Pair-case tests: constructions checked against brute force and matching."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from multsidon import (
     ExtremalPairSet,
+    PairParams,
     build_path_decomposition,
     construct_extremal_set,
     is_pair_multiplicative,
@@ -146,11 +150,21 @@ class TestReducePair:
         if a >= b:
             a, b = b, a + b
         p = reduce_pair(a, b)
-        from math import gcd
-
+        assert (p.a, p.b, p.g) == (a, b, gcd(a, b))
         assert gcd(p.a_red, p.b_red) == 1
         assert p.b_red >= 2
         assert (p.a_red * p.g, p.b_red * p.g) == (a, b)
+
+    def test_pair_params_takes_the_pair_alone(self):
+        assert PairParams(4, 6) == (4, 6, 2, 2, 3)
+        assert PairParams(a=6, b=15)._asdict() == {"a": 6, "b": 15, "g": 3, "a_red": 2, "b_red": 5}
+        assert reduce_pair is PairParams
+
+    def test_copy_and_pickle_round_trip(self):
+        params = PairParams(6, 15)
+        for clone in (copy.copy(params), copy.deepcopy(params),
+                      pickle.loads(pickle.dumps(params))):
+            assert type(clone) is PairParams and clone == params
 
 
 class TestSubpowerIndex:

@@ -115,11 +115,9 @@ def test_exceptions_are_the_packages():
     [
         (lambda: TripleParams(3, 2, 5), ValueError, r"need 1 < a < b < c, got \(3, 2, 5\)"),
         (lambda: TripleParams(a=2, b=4, c=5), ValueError, "2 and 4 are not coprime"),
-        (lambda: PairParams(3, 2, 1, 3, 2), ValueError, "need 1 <= a < b, got a=3, b=2"),
-        (lambda: PairParams(2, 4, 1, 2, 4), ValueError, r"g must equal gcd\(a, b\)"),
-        (lambda: PairParams(a=2, b=4, g=2, a_red=2, b_red=4), ValueError,
-         r"reduced pair must be \(a/g, b/g\)"),
-        (lambda: reduce_pair(2.0, 3), TypeError, "a and b must be integers"),
+        (lambda: PairParams(3, 2), ValueError, "need 1 <= a < b, got a=3, b=2"),
+        (lambda: PairParams(2, 4, 2, 1, 2), TypeError, "takes 3 positional arguments"),
+        (lambda: reduce_pair(2.0, 3), TypeError, "'float' object cannot be interpreted"),
         (lambda: ExtremalPairSet(n=2, mask=bytearray(3)), TypeError, "mask must be bytes"),
         (lambda: ExtremalPairSet(3, b"\x00\x01"), ValueError,
          r"mask must hold n \+ 1 = 4 bytes, got 2"),

@@ -95,7 +95,7 @@ COMMANDS = (
     "triple-density --a 2 --b 3 --c 5 --eps 1e-12",
     "triple-density --a 3 --b 4 --c 5 --mode converge --digits 8",
     "triple-table",
-    "empirical --a 2 --b 3 --c 5 --n 300 --verify-upto 300",
+    "empirical --a 2 --b 3 --c 5 --n 300 --verify",
     "check-set --A 2 --B 3,5 --set-file SET_FILE",
 )
 
