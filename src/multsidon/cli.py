@@ -17,6 +17,7 @@ MAX_VERIFIED_N with --verify, which asks for the O(n) cross-check.  The
 triple commands refuse a cutoff above density.MAX_CUTOFF (500), and an
 --eps whose decimal exponent exceeds MAX_EPS_EXPONENT in magnitude, before
 the Fraction is built, and a cutoff whose rationals are too long to print.
+A certified triple-density run takes one precision, --eps or --d, not both.
 check-set refuses a file over MAX_SET_BYTES bytes or MAX_SET_MEMBERS lines, and
 |A||B||set| over MAX_CHECK_WORK, each number counted once per 64 bits, rounded up.
 
@@ -316,8 +317,6 @@ def _cmd_triple_density(args: argparse.Namespace) -> int:
         )
         _emit(report, None, args.format, plain)
         return 0
-    if args.eps is None and args.d is None:
-        raise ValueError("certified mode needs --eps or --d")
     interval = approximate_density(params, eps=args.eps, cutoff=args.d)
     report = {
         "command": "triple-density",
@@ -522,9 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_positive_int, required=True)
     p.add_argument("--b", type=_positive_int, required=True)
     p.add_argument("--c", type=_positive_int, required=True)
-    p.add_argument("--eps", type=_parse_eps, default=None,
-                   help="target interval width (certified mode)")
-    p.add_argument("--d", type=int, default=None, help="force the height cutoff")
+    precision = p.add_mutually_exclusive_group()
+    precision.add_argument("--eps", type=_parse_eps, help="target interval width (certified mode)")
+    precision.add_argument("--d", type=int, help="force the height cutoff")
     p.add_argument("--mode", choices=("certified", "converge"), default="certified")
     add_common(p)
     p.set_defaults(func=_cmd_triple_density)

@@ -34,6 +34,7 @@ class TripleParams(namedtuple("TripleParams", "a b c")):
     """Pairwise coprime 1 < a < b < c."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, a: int, b: int, c: int) -> TripleParams:
         if not 1 < a < b < c:

@@ -205,7 +205,6 @@ def choose_cutoff(params: TripleParams, eps: Fraction) -> int:
     since the height-0 term is zero), so doubling high = 0, 1, 3, 7, ...
     until it suffices, then bisect_left above the last refused high finds it.
     """
-    eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie strictly between 0 and 1, got {eps}")
     high = 0
@@ -227,32 +226,22 @@ def approximate_density(
     eps: Fraction | None = None,
     cutoff: int | None = None,
 ) -> DensityInterval:
-    """Enclose the maximum density to within eps (or at a forced cutoff).
+    """Enclose the maximum density to within eps, or at a forced cutoff.
 
-    Given only eps, the cheapest sufficient cutoff is chosen and the
-    interval width is at most eps; given only a cutoff, the achieved tail
-    bound is reported as the precision.  Given both, eps must lie in (0, 1)
-    and be at least the tail bound at the cutoff, so the reported precision
-    is always certified.  A cutoff, chosen or forced, above MAX_CUTOFF or
-    with unprintable rationals is refused before any enumeration.  The
-    upper end is clamped to 1 since densities are proper.
+    Exactly one of eps and cutoff is given: eps picks the cheapest sufficient
+    cutoff, and a forced cutoff reports its tail bound as eps.  A cutoff
+    above MAX_CUTOFF or with unprintable rationals is refused before any
+    enumeration.  The upper end is clamped to 1 since densities are proper.
     """
+    if (eps is None) == (cutoff is None):
+        raise ValueError("need exactly one of eps and cutoff")
     if cutoff is None:
-        if eps is None:
-            raise ValueError("either eps or cutoff is required")
-        cutoff = choose_cutoff(params, Fraction(eps))
+        eps = Fraction(eps)
+        cutoff = choose_cutoff(params, eps)
     if not 0 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} is outside [0, {MAX_CUTOFF}], the limit on its work")
     tail = tail_bound(params, cutoff)
-    if eps is None:
-        eps = tail
-    else:
-        eps = Fraction(eps)
-        if not (0 < eps < 1 and tail <= eps):
-            raise ValueError(
-                f"eps {eps} is not certified at cutoff {cutoff}: need 0 < eps < 1 "
-                f"and eps >= tail_bound {tail}"
-            )
+    eps = tail if eps is None else eps
     dc = delta_complete(params)
     _check_printable(params, cutoff, eps, dc, tail)
     ds = delta_small(params, cutoff)

@@ -34,6 +34,7 @@ class PairParams(namedtuple("PairParams", "a b g a_red b_red")):
     """A validated pair 1 <= a < b, with g = gcd(a, b) and the coprime (a/g, b/g)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # takes (a, b), as the constructor
 
     def __new__(cls, a: int, b: int) -> PairParams:
         if not 1 <= a < b:
@@ -43,6 +44,9 @@ class PairParams(namedtuple("PairParams", "a b g a_red b_red")):
 
     def __getnewargs__(self) -> tuple[int, int]:
         return self.a, self.b
+
+    def _replace(self, **kwds: int) -> PairParams:  # only a and b; the rest follows
+        return PairParams(**{"a": self.a, "b": self.b, **kwds})
 
 
 # Call sites that only want the reduction read better as reduce_pair(a, b).
@@ -96,6 +100,7 @@ class ExtremalPairSet(namedtuple("ExtremalPairSet", "n mask")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
     def __new__(cls, n: int, mask: bytes) -> ExtremalPairSet:
         if not isinstance(mask, bytes):

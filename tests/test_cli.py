@@ -228,8 +228,7 @@ class TestTripleDensity:
         assert report["decimal"] == "0.7292"
         assert report["d"] >= 1
 
-    @pytest.mark.parametrize("flags", [("--eps", "1e-3"), ("--d", "7"),
-                                       ("--eps", "1e-3", "--d", "7")])
+    @pytest.mark.parametrize("flags", [("--eps", "1e-3"), ("--d", "7")])
     def test_converge_mode_refuses_eps_and_d_before_any_work(self, capsys, monkeypatch, flags):
         def refuse(*args):
             raise AssertionError("converge mode may not run with --eps or --d")
@@ -249,31 +248,25 @@ class TestTripleDensity:
         assert report["d"] == 8
         assert report["eps"] == report["tail_bound"]
 
-    def test_forced_cutoff_keeps_sufficient_eps(self, capsys):
-        report = run_json(
-            capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5",
-            "--d", "10", "--eps", "1/10",
-        )
-        assert report["eps"] == "1/10"
-        assert report["tail_bound"] == "41/640"
+    @pytest.mark.parametrize("flags", [
+        ("--d", "10", "--eps", "1/10"),
+        ("--d", "10", "--eps", "1e-9"),
+        ("--d", "10", "--eps", "-1"),
+        ("--mode", "converge", "--digits", "4", "--d", "7", "--eps", "1e-3"),
+    ])
+    def test_eps_and_d_together_exit_2_at_parse(self, capsys, monkeypatch, flags):
+        # one precision per run: a cutoff forced beside an eps is refused before any work
+        def refuse(*args, **kwargs):
+            raise AssertionError("no work may run when both --eps and --d are given")
 
-    def test_forced_cutoff_with_uncertified_eps_exits_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5",
-            "--d", "10", "--eps", "1e-9",
-        )
-        assert code == 2
+        monkeypatch.setattr(multsidon.cli, "approximate_density", refuse)
+        monkeypatch.setattr(multsidon.cli, "convergence_estimate", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["triple-density", "--a", "2", "--b", "3", "--c", "5", *flags])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "1/1000000000" in err and "41/640" in err
-
-    def test_forced_cutoff_with_negative_eps_exits_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5",
-            "--d", "10", "--eps", "-1",
-        )
-        assert code == 2
-        assert out == ""
-        assert "-1" in err and "41/640" in err
+        assert err.splitlines()[-1].endswith("argument --eps: not allowed with argument --d")
 
     def test_unstable_estimate_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(multsidon.density, "MAX_CUTOFF", 3)
@@ -374,10 +367,11 @@ class TestTripleDensity:
         assert err
 
     def test_certified_without_eps_exits_2(self, capsys):
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "triple-density", "--a", "2", "--b", "3", "--c", "5"
         )
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert err == "error: need exactly one of eps and cutoff\n"
 
 
 class TestTripleTable:
@@ -1034,3 +1028,4 @@ def test_error_paths_exit_without_traceback(argv):
             code = exc.code
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == "", (argv, code, out.getvalue())

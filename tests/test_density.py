@@ -457,8 +457,18 @@ class TestApproximateDensity:
         assert iv.lower <= 1
 
     def test_requires_eps_or_cutoff(self):
-        with pytest.raises(ValueError):
-            approximate_density(T235)
+        for kwargs in ({}, {"eps": Fraction(1, 10), "cutoff": 10}):
+            with pytest.raises(ValueError, match="need exactly one of eps and cutoff"):
+                approximate_density(T235, **kwargs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(triple=st.sampled_from(SMALL_TRIPLES), power=st.integers(1, 30))
+    def test_eps_run_equals_run_at_its_cutoff(self, triple, power):
+        t, eps = TripleParams(*triple), Fraction(1, 10**power)
+        by_eps = approximate_density(t, eps=eps)
+        by_cutoff = approximate_density(t, cutoff=by_eps.cutoff)
+        assert (by_eps.epsilon, by_cutoff.epsilon) == (eps, by_cutoff.tail_bound)
+        assert by_eps._replace(epsilon=None) == by_cutoff._replace(epsilon=None)
 
     @pytest.mark.parametrize("triple", TABLE_TRIPLES)
     def test_endpoints_proper(self, triple):

@@ -8,8 +8,9 @@ output byte fails tier-1, not only the benchmark.
 
 tests/golden_exits.json holds the exit code and the digests of stdout and
 stderr of the top-level and every subcommand's --help, at COLUMNS=80, and of
-one argparse refusal and one ValueError refusal.  The --help runs and the
-argparse refusal end in SystemExit, which is read as their exit code.
+two argparse refusals (--a 0, and --eps beside --d) and one ValueError
+refusal.  The --help runs and the argparse refusals end in SystemExit, which
+is read as their exit code.
 """
 
 import hashlib

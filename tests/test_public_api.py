@@ -124,11 +124,31 @@ def test_exceptions_are_the_packages():
         (lambda: ExtremalPairSet(1, b"\x01\x01"), ValueError, "0 cannot be a member"),
         (lambda: ExtremalPairSet(1, b"\x00\x02"), ValueError, "mask bytes must be 0 or 1"),
         (lambda: TripleParams(2, 3), TypeError, "missing 1 required positional argument"),
+        # _make and _replace build through the constructor too
+        (lambda: TripleParams(2, 3, 5)._replace(a=4), ValueError,
+         r"need 1 < a < b < c, got \(4, 3, 5\)"),
+        (lambda: density.approximate_density(TripleParams._make((1, 3, 5)), cutoff=3),
+         ValueError, r"need 1 < a < b < c, got \(1, 3, 5\)"),
+        (lambda: PairParams(4, 6)._replace(a=7), ValueError, "need 1 <= a < b, got a=7, b=6"),
+        (lambda: PairParams(4, 6)._replace(g=5), TypeError, "unexpected keyword argument 'g'"),
+        (lambda: PairParams._make((4, 6, 2, 1, 3)), TypeError, "takes 3 positional arguments"),
+        (lambda: ExtremalPairSet._make((3, b"\x00\x01")), ValueError,
+         r"mask must hold n \+ 1 = 4 bytes, got 2"),
+        (lambda: ExtremalPairSet(1, b"\x00\x01")._replace(mask=b"\x01\x01"), ValueError,
+         "0 cannot be a member"),
     ],
 )
 def test_records_validate_when_built(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_make_and_replace_return_valid_records():
+    assert TripleParams(2, 3, 5)._replace(c=7) == TripleParams(2, 3, 7)
+    assert TripleParams._make([2, 3, 5]) == TripleParams(2, 3, 5)
+    assert PairParams(4, 6)._replace(a=2) == PairParams(2, 6) == (2, 6, 2, 1, 3)
+    assert PairParams._make((4, 6)) == PairParams(4, 6)
+    assert ExtremalPairSet._make((1, b"\x00\x01")) == ExtremalPairSet(1, b"\x00\x01")
 
 
 
