@@ -13,10 +13,10 @@ most one, so [n] splits into disjoint directed paths, and a maximum
 independent set takes the vertices at even distance from each path source.
 Those vertices are exactly the even subpowers of b/g.
 
-PairParams(a, b) works out g and the reduced pair (reduce_pair is the same
-class).  construct_extremal_set sieves the set in one byte per x <= n into a
-byte mask, with no int object per member; is_pair_multiplicative checks the
-condition on that mask, for the reduced pair of a PairParams.
+PairParams(a, b), ExtremalPairSet(mask) and PathDecomposition(params, lengths)
+hold only their inputs; g, the reduced pair and n = len(bytes) - 1 are read
+off them (reduce_pair is PairParams).  construct_extremal_set sieves the set
+into a byte mask over [0, n], one byte per x, that is_pair_multiplicative reads.
 build_path_decomposition solves the edge relation in one sweep for the
 path length from each vertex onward, one byte per vertex, without building
 the paths: the independent optimum that pair-construct --verify compares
@@ -28,33 +28,31 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from math import gcd
+from operator import index
 
 
-class PairParams(namedtuple("PairParams", "a b g a_red b_red")):
-    """A validated pair 1 <= a < b, with g = gcd(a, b) and the coprime (a/g, b/g)."""
+class PairParams(namedtuple("PairParams", "a b")):
+    """A validated pair 1 <= a < b; g = gcd(a, b) and the coprime (a/g, b/g) follow from it."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # takes (a, b), as the constructor
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+    g = property(lambda self: gcd(self.a, self.b))
+    a_red = property(lambda self: self.a // self.g)
+    b_red = property(lambda self: self.b // self.g)
 
     def __new__(cls, a: int, b: int) -> PairParams:
+        a, b = index(a), index(b)  # a float fails here, not at the first read of g
         if not 1 <= a < b:
             raise ValueError(f"need 1 <= a < b, got a={a}, b={b}")
-        g = gcd(a, b)
-        return super().__new__(cls, a, b, g, a // g, b // g)
-
-    def __getnewargs__(self) -> tuple[int, int]:
-        return self.a, self.b
-
-    def _replace(self, **kwds: int) -> PairParams:  # only a and b; the rest follows
-        return PairParams(**{"a": self.a, "b": self.b, **kwds})
+        return super().__new__(cls, a, b)
 
 
 # Call sites that only want the reduction read better as reduce_pair(a, b).
 reduce_pair = PairParams
 
 
-class PathDecomposition(namedtuple("PathDecomposition", "params n lengths")):
-    """Partition of [n] into the maximal chains x -> x*b_red/a_red.
+class PathDecomposition(namedtuple("PathDecomposition", "params lengths")):
+    """Partition of [n] into the maximal chains x -> x*b_red/a_red, n = len(lengths) - 1.
 
     lengths[x] is the number of vertices on x's path from x onward, x
     included, for every 1 <= x <= n, and lengths[0] is 0.  At a source (an
@@ -63,6 +61,7 @@ class PathDecomposition(namedtuple("PathDecomposition", "params n lengths")):
     """
 
     __slots__ = ()
+    n = property(lambda self: len(self.lengths) - 1)
 
     @property
     def paths(self) -> _PathView:
@@ -73,8 +72,8 @@ class PathDecomposition(namedtuple("PathDecomposition", "params n lengths")):
 class _PathView:
     """The paths of a decomposition, one tuple walked per path read.
 
-    The sources are the integers not divisible by b_red, so there are
-    n - n // b_red of them.
+    The sources are the integers of [n], n = len(lengths) - 1, not divisible
+    by b_red, so there are n - n // b_red of them.
     """
 
     def __init__(self, decomposition: PathDecomposition) -> None:
@@ -93,25 +92,24 @@ class _PathView:
                 yield tuple(path)
 
 
-class ExtremalPairSet(namedtuple("ExtremalPairSet", "n mask")):
+class ExtremalPairSet(namedtuple("ExtremalPairSet", "mask")):
     """The even subpowers of b_red inside [n], as a byte mask over [0, n].
 
-    mask[x] is 1 when x is a member and 0 otherwise; mask[0] is 0.
+    mask[x] is 1 when x is a member and 0 otherwise; mask[0] is 0 and n = len(mask) - 1.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+    n = property(lambda self: len(self.mask) - 1)
 
-    def __new__(cls, n: int, mask: bytes) -> ExtremalPairSet:
+    def __new__(cls, mask: bytes) -> ExtremalPairSet:
         if not isinstance(mask, bytes):
             raise TypeError("mask must be bytes")
-        if len(mask) != n + 1:
-            raise ValueError(f"mask must hold n + 1 = {n + 1} bytes, got {len(mask)}")
         if mask[:1] != b"\x00":
             raise ValueError("0 cannot be a member")
         if mask.translate(None, b"\x00\x01"):
             raise ValueError("mask bytes must be 0 or 1")
-        return super().__new__(cls, n, mask)
+        return super().__new__(cls, mask)
 
     @property
     def cardinality(self) -> int:
@@ -136,7 +134,7 @@ def construct_extremal_set(params: PairParams, n: int) -> ExtremalPairSet:
         mask[power::power] = bytes((even,)) * (n // power)
         power *= b
         even ^= 1
-    return ExtremalPairSet(n=n, mask=bytes(mask))
+    return ExtremalPairSet(bytes(mask))
 
 
 def is_pair_multiplicative(extremal: ExtremalPairSet, params: PairParams) -> bool:
@@ -191,7 +189,7 @@ def build_path_decomposition(params: PairParams, n: int) -> PathDecomposition:
         longer = length[b * lo + b : b * hi + 1 : b].translate(_INCREMENT)
         length[a * lo + a : a * hi + 1 : a] = longer
         hi = lo
-    return PathDecomposition(params=params, n=n, lengths=bytes(length))
+    return PathDecomposition(params, bytes(length))
 
 
 def path_alpha(decomposition: PathDecomposition) -> int:

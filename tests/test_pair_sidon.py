@@ -70,7 +70,7 @@ def mask_set(members, n: int | None = None) -> ExtremalPairSet:
     mask = bytearray(max(members, default=0) + 1 if n is None else n + 1)
     for x in members:
         mask[x] = 1
-    return ExtremalPairSet(len(mask) - 1, bytes(mask))
+    return ExtremalPairSet(bytes(mask))
 
 
 def definition_is_pair_multiplicative(members, a: int, b: int) -> bool:
@@ -156,8 +156,8 @@ class TestReducePair:
         assert (p.a_red * p.g, p.b_red * p.g) == (a, b)
 
     def test_pair_params_takes_the_pair_alone(self):
-        assert PairParams(4, 6) == (4, 6, 2, 2, 3)
-        assert PairParams(a=6, b=15)._asdict() == {"a": 6, "b": 15, "g": 3, "a_red": 2, "b_red": 5}
+        assert PairParams(4, 6) == (4, 6)
+        assert PairParams(a=6, b=15)._asdict() == {"a": 6, "b": 15}
         assert reduce_pair is PairParams
 
     def test_copy_and_pickle_round_trip(self):
@@ -236,28 +236,26 @@ class TestExtremalPairSet:
 
     @given(st.binary(max_size=300).map(lambda tail: b"\x00" + bytes(c & 1 for c in tail)))
     def test_members_and_cardinality_read_the_mask(self, mask):
-        s = ExtremalPairSet(n=len(mask) - 1, mask=mask)
+        s = ExtremalPairSet(mask=mask)
         assert extremal_members(s) == tuple(x for x in range(len(mask)) if mask[x] == 1)
         assert s.cardinality == len(extremal_members(s))
 
     @pytest.mark.parametrize(
-        "n,mask",
+        "mask",
         [
-            (3, b"\x00\x01\x01"),  # one byte short
-            (1, b"\x00\x01\x01"),  # one byte long
-            (0, b""),
-            (2, b"\x01\x01\x01"),  # 0 marked
-            (3, b"\x00\x01\x02\x01"),
-            (2, b"\x00\x01\xff"),
+            b"",
+            b"\x01\x01\x01",  # 0 marked
+            b"\x00\x01\x02\x01",
+            b"\x00\x01\xff",
         ],
     )
-    def test_rejects_invalid_masks(self, n, mask):
+    def test_rejects_invalid_masks(self, mask):
         with pytest.raises(ValueError):
-            ExtremalPairSet(n=n, mask=mask)
+            ExtremalPairSet(mask=mask)
 
     def test_rejects_a_mutable_mask(self):
         with pytest.raises(TypeError):
-            ExtremalPairSet(n=2, mask=bytearray(b"\x00\x01\x01"))
+            ExtremalPairSet(mask=bytearray(b"\x00\x01\x01"))
 
 
 class TestIsPairMultiplicative:
@@ -353,7 +351,7 @@ class TestIsPairMultiplicative:
         for t in violations:
             if (a_red + delta) * t <= n:
                 mask[a_red * t] = mask[(a_red + delta) * t] = 1
-        s = ExtremalPairSet(n=n, mask=bytes(mask))
+        s = ExtremalPairSet(bytes(mask))
         members = extremal_members(s)
         expected = definition_is_pair_multiplicative(members, a, b)
         assert is_pair_multiplicative(s, reduce_pair(a, b)) == expected
@@ -463,6 +461,22 @@ class TestPathAlpha:
         assert set(extremal_members(construct_extremal_set(p, 8))) == {1, 3, 4, 5, 7}
         assert is_pair_multiplicative(mask_set(odd, 8), reduce_pair(1, 2))
         assert path_alpha(d) == len(odd)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 59).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 60))),
+        st.integers(1, 3000),
+    )
+    @example((2, 3), 10)  # the optimum on [10] is 8
+    @example((4, 6), 1)
+    @example((20, 60), 3000)  # gcd 20, reduces to (1, 3)
+    def test_records_read_n_off_their_bytes(self, pair, n):
+        """Both records report the n they were built for, and their optima agree."""
+        p = reduce_pair(*pair)
+        decomposition, extremal = build_path_decomposition(p, n), construct_extremal_set(p, n)
+        assert decomposition.n == extremal.n == n
+        assert len(decomposition.paths) == n - n // p.b_red
+        assert path_alpha(decomposition) == extremal.cardinality
 
 
 class TestPairDensity:

@@ -22,7 +22,7 @@ import pytest
 import multsidon
 from multsidon import density, oracle
 from multsidon.components import TripleParams
-from multsidon.pair_sidon import ExtremalPairSet, PairParams, reduce_pair
+from multsidon.pair_sidon import ExtremalPairSet, PairParams, PathDecomposition, reduce_pair
 from multsidon.rational import truncated_decimal
 
 import claims
@@ -118,11 +118,12 @@ def test_exceptions_are_the_packages():
         (lambda: PairParams(3, 2), ValueError, "need 1 <= a < b, got a=3, b=2"),
         (lambda: PairParams(2, 4, 2, 1, 2), TypeError, "takes 3 positional arguments"),
         (lambda: reduce_pair(2.0, 3), TypeError, "'float' object cannot be interpreted"),
-        (lambda: ExtremalPairSet(n=2, mask=bytearray(3)), TypeError, "mask must be bytes"),
-        (lambda: ExtremalPairSet(3, b"\x00\x01"), ValueError,
-         r"mask must hold n \+ 1 = 4 bytes, got 2"),
-        (lambda: ExtremalPairSet(1, b"\x01\x01"), ValueError, "0 cannot be a member"),
-        (lambda: ExtremalPairSet(1, b"\x00\x02"), ValueError, "mask bytes must be 0 or 1"),
+        (lambda: ExtremalPairSet(mask=bytearray(3)), TypeError, "mask must be bytes"),
+        (lambda: ExtremalPairSet(b"\x01\x01"), ValueError, "0 cannot be a member"),
+        (lambda: ExtremalPairSet(b"\x00\x02"), ValueError, "mask bytes must be 0 or 1"),
+        # n is the length of the bytes, never a field beside them
+        (lambda: PathDecomposition(reduce_pair(2, 3), 10, bytes(3)), TypeError,
+         "takes 3 positional arguments"),
         (lambda: TripleParams(2, 3), TypeError, "missing 1 required positional argument"),
         # _make and _replace build through the constructor too
         (lambda: TripleParams(2, 3, 5)._replace(a=4), ValueError,
@@ -130,11 +131,10 @@ def test_exceptions_are_the_packages():
         (lambda: density.approximate_density(TripleParams._make((1, 3, 5)), cutoff=3),
          ValueError, r"need 1 < a < b < c, got \(1, 3, 5\)"),
         (lambda: PairParams(4, 6)._replace(a=7), ValueError, "need 1 <= a < b, got a=7, b=6"),
-        (lambda: PairParams(4, 6)._replace(g=5), TypeError, "unexpected keyword argument 'g'"),
+        (lambda: PairParams(4, 6)._replace(g=5), ValueError,
+         r"Got unexpected field names: \['g'\]"),
         (lambda: PairParams._make((4, 6, 2, 1, 3)), TypeError, "takes 3 positional arguments"),
-        (lambda: ExtremalPairSet._make((3, b"\x00\x01")), ValueError,
-         r"mask must hold n \+ 1 = 4 bytes, got 2"),
-        (lambda: ExtremalPairSet(1, b"\x00\x01")._replace(mask=b"\x01\x01"), ValueError,
+        (lambda: ExtremalPairSet(b"\x00\x01")._replace(mask=b"\x01\x01"), ValueError,
          "0 cannot be a member"),
     ],
 )
@@ -146,10 +146,15 @@ def test_records_validate_when_built(build, error, message):
 def test_make_and_replace_return_valid_records():
     assert TripleParams(2, 3, 5)._replace(c=7) == TripleParams(2, 3, 7)
     assert TripleParams._make([2, 3, 5]) == TripleParams(2, 3, 5)
-    assert PairParams(4, 6)._replace(a=2) == PairParams(2, 6) == (2, 6, 2, 1, 3)
+    assert PairParams(4, 6)._replace(a=2) == PairParams(2, 6) == (2, 6)
     assert PairParams._make((4, 6)) == PairParams(4, 6)
-    assert ExtremalPairSet._make((1, b"\x00\x01")) == ExtremalPairSet(1, b"\x00\x01")
+    assert ExtremalPairSet._make((b"\x00\x01",)) == ExtremalPairSet(b"\x00\x01")
 
+
+def test_pair_records_hold_only_their_inputs():
+    assert PairParams._fields == ("a", "b")
+    assert ExtremalPairSet._fields == ("mask",)
+    assert PathDecomposition._fields == ("params", "lengths")
 
 
 @pytest.mark.parametrize(
@@ -183,7 +188,7 @@ def test_library_refuses_bad_arguments(call, error, message):
     [
         (TripleParams(2, 3, 5), "a"),
         (reduce_pair(4, 6), "g"),
-        (ExtremalPairSet(1, b"\x00\x01"), "mask"),
+        (ExtremalPairSet(b"\x00\x01"), "mask"),
         (density.approximate_density(TripleParams(2, 3, 5), cutoff=4), "lower"),
     ],
 )
