@@ -253,8 +253,7 @@ def _cmd_pair_construct(args: argparse.Namespace) -> int:
 
     params = pair_sidon.reduce_pair(args.a, args.b)
     if args.verify:
-        # the path lengths are freed before the set is built, so the peaks do not add up
-        alpha = pair_sidon.path_alpha(pair_sidon.build_path_decomposition(params, args.n))
+        alpha = pair_sidon.path_alpha(params, args.n)
     extremal = pair_sidon.construct_extremal_set(params, args.n)
     cardinality = extremal.cardinality
     if args.verify:

@@ -17,10 +17,10 @@ PairParams(a, b), ExtremalPairSet(mask) and PathDecomposition(params, lengths)
 hold only their inputs; g, the reduced pair and n = len(bytes) - 1 are read
 off them (reduce_pair is PairParams).  construct_extremal_set sieves the set
 into a byte mask over [0, n], one byte per x, that is_pair_multiplicative reads.
-build_path_decomposition solves the edge relation in one sweep for the
-path length from each vertex onward, one byte per vertex, without building
-the paths: the independent optimum that pair-construct --verify compares
-the cardinality with, which path_alpha counts off the odd lengths.
+build_path_decomposition solves the edge relation in one sweep for each
+vertex's remaining path length, one byte each, without building the paths.
+path_alpha(params, n) counts the odd lengths of its own sweep: the optimum
+pair-construct --verify checks the cardinality against, from the pair and n.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class ExtremalPairSet(namedtuple("ExtremalPairSet", "mask")):
         if not isinstance(mask, bytes):
             raise TypeError("mask must be bytes")
         if mask[:1] != b"\x00":
-            raise ValueError("0 cannot be a member")
+            raise ValueError("0 cannot be a member" if mask else "mask is empty: it must cover 0")
         if mask.translate(None, b"\x00\x01"):
             raise ValueError("mask bytes must be 0 or 1")
         return super().__new__(cls, mask)
@@ -192,20 +192,22 @@ def build_path_decomposition(params: PairParams, n: int) -> PathDecomposition:
     return PathDecomposition(params, bytes(length))
 
 
-def path_alpha(decomposition: PathDecomposition) -> int:
-    """Independence number of the path graph: sum of ceil(len/2) per path.
+def path_alpha(params: PairParams, n: int) -> int:
+    """Independence number of the path graph on [n]: sum of ceil(len/2) per path.
 
     Along a path of L vertices the lengths from each vertex onward are
     L, L - 1, ..., 1, and ceil(L/2) of them are odd, so the sum counts the
-    odd lengths: 1 at the n - k vertices with no out-edge, k = n // b_red,
-    and the k others, a_red*t, by one strided read, a byte table, a count.
-    Those vertices, at even distance from each path's end, are another
-    maximum independent set than the even subpowers whenever L is even,
-    found from the edge relation alone, never from v_b, so the count stays
-    independent of the sieve.
+    odd lengths build_path_decomposition(params, n) solves: 1 at the n - k
+    vertices with no out-edge, k = n // b_red, and the k others, a_red*t, by
+    one strided read, a byte table, a count.  Those vertices, at even distance
+    from each path's end, are another maximum independent set than the even
+    subpowers whenever L is even, found from the edge relation alone, never
+    from v_b, so the count stays independent of the sieve.  The lengths are
+    freed on return, before pair-construct builds the set: the peaks do not add.
     """
-    a, k = decomposition.params.a_red, decomposition.n // decomposition.params.b_red
-    return decomposition.n - k + decomposition.lengths[a : a * k + 1 : a].translate(_ODD).count(1)
+    lengths = build_path_decomposition(params, n).lengths
+    a, k = params.a_red, n // params.b_red
+    return n - k + lengths[a : a * k + 1 : a].translate(_ODD).count(1)
 
 
 def pair_density(params: PairParams) -> Fraction:

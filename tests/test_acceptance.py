@@ -23,7 +23,6 @@ from multsidon import (
     TripleParams,
     VerificationError,
     approximate_density,
-    build_path_decomposition,
     choose_cutoff,
     construct_extremal_set,
     delta_complete,
@@ -178,7 +177,7 @@ def test_criterion_3_pair_exactness():
         p = reduce_pair(a, b)
         for n in range(1, 2001):
             constructed = construct_extremal_set(p, n).cardinality
-            optimum = path_alpha(build_path_decomposition(p, n))
+            optimum = path_alpha(p, n)
             if constructed != optimum:
                 failures.append(f"({a},{b}) n={n}: {constructed} != {optimum}")
                 break

@@ -20,7 +20,7 @@ import multsidon.density
 import multsidon.oracle
 import multsidon.pair_sidon
 import multsidon.cli
-from multsidon import build_path_decomposition, construct_extremal_set, path_alpha, reduce_pair
+from multsidon import construct_extremal_set, path_alpha, reduce_pair
 from multsidon.cli import (
     MAX_CHECK_WORK,
     MAX_EMPIRICAL_N,
@@ -130,7 +130,7 @@ class TestPairConstruct:
             assert "verification failed" in err and reason in err, fmt
 
     def test_broken_invariant_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(multsidon.pair_sidon, "path_alpha", lambda d: -1)
+        monkeypatch.setattr(multsidon.pair_sidon, "path_alpha", lambda params, n: -1)
         self.assert_verify_fails_silently(capsys, "path optimum -1")
 
     def test_condition_violation_exits_3(self, capsys, monkeypatch):
@@ -532,8 +532,7 @@ class TestEmpirical:
             code = main(["empirical", "--a", str(a), "--b", str(b), "--c", str(c), "--n", str(n)])
         assert code == 0
         report = json.loads(out.getvalue())
-        pair = build_path_decomposition(reduce_pair(a, b), n)
-        assert report["alpha"] == path_alpha(pair)
+        assert report["alpha"] == path_alpha(reduce_pair(a, b), n)
 
     def test_verify_upto_is_refused_at_parse(self, capsys):
         # --verify is a yes/no flag; the old threshold option no longer exists

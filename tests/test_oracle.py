@@ -172,7 +172,7 @@ class TestTripleOracleAgreement:
                 for path in decomp.paths
                 for u, v in zip(path, path[1:])
             ]
-            assert path_alpha(decomp) == exact_alpha_matching(n, edges)
+            assert path_alpha(p, n) == exact_alpha_matching(n, edges)
 
 
 class TestEmpiricalDensity:

@@ -113,7 +113,7 @@ def check_lengths_and_alpha(params, n: int) -> None:
     d = build_path_decomposition(params, n)
     assert len(d.lengths) == n + 1 and d.lengths[0] == 0
     assert list(d.lengths[1:]) == [walked_length(params, n, x) for x in range(1, n + 1)]
-    alpha = path_alpha(d)
+    alpha = path_alpha(params, n)
     assert alpha == sum((len(path) + 1) // 2 for path in d.paths)
     assert alpha == construct_extremal_set(params, n).cardinality
 
@@ -189,7 +189,7 @@ class TestConstructExtremalSet:
         s = construct_extremal_set(p, 10)
         assert extremal_members(s) == (1, 2, 4, 5, 7, 8, 9, 10)
         assert s.cardinality == 8
-        assert s.cardinality == path_alpha(build_path_decomposition(p, 10))
+        assert s.cardinality == path_alpha(p, 10)
 
     def test_double_free_matches_brute_force(self):
         p = reduce_pair(1, 2)
@@ -241,16 +241,16 @@ class TestExtremalPairSet:
         assert s.cardinality == len(extremal_members(s))
 
     @pytest.mark.parametrize(
-        "mask",
+        "mask, message",
         [
-            b"",
-            b"\x01\x01\x01",  # 0 marked
-            b"\x00\x01\x02\x01",
-            b"\x00\x01\xff",
+            (b"", "mask is empty"),
+            (b"\x01\x01\x01", "0 cannot be a member"),
+            (b"\x00\x01\x02\x01", "must be 0 or 1"),
+            (b"\x00\x01\xff", "must be 0 or 1"),
         ],
     )
-    def test_rejects_invalid_masks(self, mask):
-        with pytest.raises(ValueError):
+    def test_rejects_invalid_masks(self, mask, message):
+        with pytest.raises(ValueError, match=message):
             ExtremalPairSet(mask=mask)
 
     def test_rejects_a_mutable_mask(self):
@@ -398,7 +398,7 @@ class TestPathDecomposition:
         d = build_path_decomposition(p, n)
         reference = walked_paths(p, n)
         assert sorted(d.paths) == sorted(reference)
-        assert path_alpha(d) == sum((len(path) + 1) // 2 for path in reference)
+        assert path_alpha(p, n) == sum((len(path) + 1) // 2 for path in reference)
         assert len(d.paths) == n - n // p.b_red
         # the view walks the sources, the integers not divisible by b_red, upward
         assert [path[0] for path in d.paths] == [x for x in range(1, n + 1) if x % p.b_red]
@@ -446,9 +446,9 @@ class TestPathLengths:
 
 class TestPathAlpha:
     def test_examples(self):
-        assert path_alpha(build_path_decomposition(reduce_pair(2, 3), 10)) == 8
-        assert path_alpha(build_path_decomposition(reduce_pair(1, 2), 4)) == 3
-        assert path_alpha(build_path_decomposition(reduce_pair(1, 2), 1)) == 1
+        assert path_alpha(reduce_pair(2, 3), 10) == 8
+        assert path_alpha(reduce_pair(1, 2), 4) == 3
+        assert path_alpha(reduce_pair(1, 2), 1) == 1
 
     def test_odd_lengths_are_another_maximum_set(self):
         # on (1, 2) at n = 8 the paths 1, 2, 4, 8 and 3, 6 have remaining lengths
@@ -460,7 +460,7 @@ class TestPathAlpha:
         assert odd == {2, 5, 6, 7, 8}
         assert set(extremal_members(construct_extremal_set(p, 8))) == {1, 3, 4, 5, 7}
         assert is_pair_multiplicative(mask_set(odd, 8), reduce_pair(1, 2))
-        assert path_alpha(d) == len(odd)
+        assert path_alpha(p, 8) == len(odd)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -471,12 +471,13 @@ class TestPathAlpha:
     @example((4, 6), 1)
     @example((20, 60), 3000)  # gcd 20, reduces to (1, 3)
     def test_records_read_n_off_their_bytes(self, pair, n):
-        """Both records report the n they were built for, and their optima agree."""
+        """Both records report the n they were built for, and the three optima agree."""
         p = reduce_pair(*pair)
         decomposition, extremal = build_path_decomposition(p, n), construct_extremal_set(p, n)
         assert decomposition.n == extremal.n == n
         assert len(decomposition.paths) == n - n // p.b_red
-        assert path_alpha(decomposition) == extremal.cardinality
+        assert path_alpha(p, n) == extremal.cardinality == sum(
+            (len(path) + 1) // 2 for path in decomposition.paths)
 
 
 class TestPairDensity:
@@ -538,5 +539,5 @@ def test_construction_is_optimal_and_valid(a, delta, n):
     b = a + delta
     p = reduce_pair(a, b)
     s = construct_extremal_set(p, n)
-    assert s.cardinality == path_alpha(build_path_decomposition(p, n))
+    assert s.cardinality == path_alpha(p, n)
     assert is_pair_multiplicative(s, p)

@@ -171,6 +171,11 @@ def test_pair_records_hold_only_their_inputs():
          "n must be positive, got 0"),
         (lambda: multsidon.build_path_decomposition(reduce_pair(2, 3), 0), ValueError,
          "n must be positive, got 0"),
+        (lambda: multsidon.path_alpha(reduce_pair(2, 3), 0), ValueError,
+         "n must be positive, got 0"),
+        # the optimum is solved from the pair and n, never read off a caller's record
+        (lambda: multsidon.path_alpha(PathDecomposition(reduce_pair(2, 3), bytes(11))),
+         TypeError, "missing 1 required positional argument: 'n'"),
         (lambda: oracle.general_multiplicative_witness([0, 1], [2], [3]), ValueError,
          "all inputs must be positive"),
         (lambda: truncated_decimal(Fraction(-1, 2), 3), ValueError,
@@ -181,6 +186,10 @@ def test_pair_records_hold_only_their_inputs():
 def test_library_refuses_bad_arguments(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_path_alpha_reads_the_pair_and_n():
+    assert multsidon.path_alpha(reduce_pair(2, 3), 10) == 8
 
 
 @pytest.mark.parametrize(

@@ -38,22 +38,28 @@ def traced_run(tmp_path: Path, argv: tuple[str, ...]) -> tuple[bytes, dict]:
 
 
 @pytest.mark.parametrize(
-    "argv, spans, counters",
+    "argv, spans, counters, parents",
     [
+        # the sources <= 1000 not divisible by 3; path_alpha runs the sweep it counts,
+        # through the module global the tracer replaces
         (("pair-construct", "--a", "2", "--b", "3", "--n", "1000", "--verify"), PAIR_SPANS,
-         {"pair_sidon.paths": 667}),  # the sources <= 1000 not divisible by 3
+         {"pair_sidon.paths": 667},
+         {"pair_sidon.build_path_decomposition": "pair_sidon.path_alpha"}),
         (("empirical", "--a", "2", "--b", "3", "--c", "5", "--n", "1000"),
          {"oracle.empirical_density", "oracle.component_ids"},
-         {"oracle.components_visited": VISITED}),
-        (("triple-table", "--digits", "4"), {"density.convergence_estimate"}, {}),
+         {"oracle.components_visited": VISITED}, {}),
+        (("triple-table", "--digits", "4"), {"density.convergence_estimate"}, {}, {}),
     ],
 )
 def test_traced_run_prints_the_untraced_output_and_records_its_spans(
-    tmp_path, argv, spans, counters
+    tmp_path, argv, spans, counters, parents
 ):
     _, trace = traced_run(tmp_path, argv)
     assert {"cli.main", *spans} <= {span["name"] for span in trace["spans"]}
     assert {name: trace["counters"].get(name) for name in counters} == counters
+    names = {span["id"]: span["name"] for span in trace["spans"]}
+    assert {span["name"]: names.get(span["parent"]) for span in trace["spans"]
+            if span["name"] in parents} == parents
 
 
 def test_traced_certified_run_counts_every_cell_up_to_its_cutoff(tmp_path):
