@@ -35,8 +35,8 @@ _HOMES = {
     for home, names in (
         ("components", "TripleParams admissible_count admissible_density alpha_complete "
                        "f_table q_copy_alpha"),
-        ("density", "ConvergenceEstimate DensityInterval approximate_density choose_cutoff "
-                    "convergence_estimate delta_complete delta_small tail_bound"),
+        ("density", "DensityInterval approximate_density choose_cutoff convergence_estimate "
+                    "delta_complete delta_small tail_bound"),
         ("oracle", "empirical_density"),
         ("pair_sidon", "ExtremalPairSet PairParams PathDecomposition build_path_decomposition "
                        "construct_extremal_set is_pair_multiplicative pair_density path_alpha "

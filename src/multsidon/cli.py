@@ -306,13 +306,13 @@ def _cmd_triple_density(args: argparse.Namespace) -> int:
             "c": params.c,
             "digits": args.digits,
             "d": estimate.cutoff,
-            "value": format_rational(estimate.value),
-            "decimal": estimate.decimal,
+            "value": format_rational(estimate.lower),
+            "decimal": truncated_decimal(estimate.lower, args.digits),
             "decimal_rounding": "truncated toward zero",
         }
         plain = (
             f"converged estimate for ({params.a},{params.b},{params.c}): "
-            f"{estimate.decimal} ({args.digits} digits, cutoff {estimate.cutoff})"
+            f"{report['decimal']} ({args.digits} digits, cutoff {estimate.cutoff})"
         )
         _emit(report, None, args.format, plain)
         return 0
@@ -359,7 +359,7 @@ def _cmd_triple_table(args: argparse.Namespace) -> int:
                 "a": a,
                 "b": b,
                 "c": c,
-                "estimate": estimate.decimal,
+                "estimate": truncated_decimal(estimate.lower, args.digits),
                 "estimate_d": estimate.cutoff,
                 "lower": format_rational(interval.lower),
                 "upper": format_rational(interval.upper),

@@ -82,6 +82,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import count, islice
 from math import lcm
+from operator import index
 
 from . import ConvergenceError
 from .components import TripleParams, admissible_density, alpha_complete
@@ -205,6 +206,8 @@ def choose_cutoff(params: TripleParams, eps: Fraction) -> int:
     since the height-0 term is zero), so doubling high = 0, 1, 3, 7, ...
     until it suffices, then bisect_left above the last refused high finds it.
     """
+    if isinstance(eps, float):  # a binary fraction near the asked value, not that value
+        raise TypeError(f"eps must be an int or a Fraction, not the float {eps!r}")
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie strictly between 0 and 1, got {eps}")
     high = 0
@@ -214,11 +217,20 @@ def choose_cutoff(params: TripleParams, eps: Fraction) -> int:
                        key=lambda d: tail_bound(params, d) <= eps)
 
 
-class DensityInterval(namedtuple("DensityInterval", "epsilon cutoff delta_complete "
-                                                  "delta_small tail_bound lower upper")):
-    """Certified enclosure [lower, upper] of the maximum density."""
+class DensityInterval(namedtuple("DensityInterval", "params epsilon cutoff delta_small")):
+    """Certified enclosure [lower, upper] of the maximum density, to within epsilon.
+
+    The record holds what it is built from; delta_complete, tail_bound and
+    the two ends are worked out from its fields on each read, so no record
+    holds ends that its parts contradict.  The upper end is clamped to 1
+    since densities are proper.
+    """
 
     __slots__ = ()
+    delta_complete = property(lambda self: delta_complete(self.params))
+    tail_bound = property(lambda self: tail_bound(self.params, self.cutoff))
+    lower = property(lambda self: self.delta_complete + self.delta_small)
+    upper = property(lambda self: min(self.lower + self.tail_bound, Fraction(1)))
 
 
 def approximate_density(
@@ -231,48 +243,32 @@ def approximate_density(
     Exactly one of eps and cutoff is given: eps picks the cheapest sufficient
     cutoff, and a forced cutoff reports its tail bound as eps.  A cutoff
     above MAX_CUTOFF or with unprintable rationals is refused before any
-    enumeration.  The upper end is clamped to 1 since densities are proper.
+    enumeration.
     """
     if (eps is None) == (cutoff is None):
         raise ValueError("need exactly one of eps and cutoff")
     if cutoff is None:
-        eps = Fraction(eps)
         cutoff = choose_cutoff(params, eps)
+        eps = Fraction(eps)
+    cutoff = index(cutoff)
     if not 0 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} is outside [0, {MAX_CUTOFF}], the limit on its work")
     tail = tail_bound(params, cutoff)
     eps = tail if eps is None else eps
-    dc = delta_complete(params)
-    _check_printable(params, cutoff, eps, dc, tail)
-    ds = delta_small(params, cutoff)
-    lower = dc + ds
-    upper = min(lower + tail, Fraction(1))
-    return DensityInterval(
-        epsilon=eps,
-        cutoff=cutoff,
-        delta_complete=dc,
-        delta_small=ds,
-        tail_bound=tail,
-        lower=lower,
-        upper=upper,
-    )
+    _check_printable(params, cutoff, eps, delta_complete(params), tail)
+    return DensityInterval(params, eps, cutoff, delta_small(params, cutoff))
 
 
-class ConvergenceEstimate(namedtuple("ConvergenceEstimate", "cutoff value decimal")):
-    """Heuristic point estimate: lower endpoint stable when truncated to the asked digits."""
-
-    __slots__ = ()
-
-
-def convergence_estimate(params: TripleParams, digits: int) -> ConvergenceEstimate:
-    """Raise the cutoff until the printed decimal stops moving.
+def convergence_estimate(params: TripleParams, digits: int) -> DensityInterval:
+    """Raise the cutoff until the printed decimal of the lower end stops moving.
 
     Increments the cutoff and compares the truncated rendering of
-    delta_complete + delta_small across consecutive cutoffs, reporting the
-    value once it has survived STABLE_STEPS increments unchanged; one
-    _numerators walk adds height d only once _check_printable accepts d.
-    This mode carries no certificate; use approximate_density for certified
-    output.
+    delta_complete + delta_small across consecutive cutoffs, and returns the
+    interval at the cutoff where it has survived STABLE_STEPS increments
+    unchanged, with that cutoff's tail bound as epsilon, as a forced cutoff
+    reports it; one _numerators walk adds height d only once _check_printable
+    accepts d.  The stopping rule is a heuristic: the truncated lower end it
+    stops on need not be the decimal both ends share.
     """
     if not 1 <= digits <= MAX_CONVERGENCE_DIGITS:
         raise ValueError(f"digits must be in [1, {MAX_CONVERGENCE_DIGITS}]")
@@ -286,11 +282,11 @@ def convergence_estimate(params: TripleParams, digits: int) -> ConvergenceEstima
     for d in range(1, MAX_CUTOFF + 1):
         _check_printable(params, d, dc)
         total = total * abc + next(numerators)  # as in delta_small(params, d)
-        value = dc + Fraction(k.numerator * total, k.denominator * abc**d)
-        current = truncated_decimal(value, digits)
+        ds = Fraction(k.numerator * total, k.denominator * abc**d)
+        current = truncated_decimal(dc + ds, digits)
         streak = streak + 1 if current == previous else 0
         if streak >= STABLE_STEPS:
-            return ConvergenceEstimate(cutoff=d, value=value, decimal=current)
+            return DensityInterval(params, tail_bound(params, d), d, ds)
         previous = current
     raise ConvergenceError(
         f"({params.a}, {params.b}, {params.c}) at {digits} digits: "

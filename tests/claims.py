@@ -44,7 +44,7 @@ from multsidon.density import (
     MAX_CONVERGENCE_DIGITS,
     MAX_CUTOFF,
     STABLE_STEPS,
-    ConvergenceEstimate,
+    DensityInterval,
     _check_printable,
     delta_complete,
     delta_small,
@@ -315,26 +315,26 @@ def floor_block_alpha(params: TripleParams, n: int) -> int:
     return total
 
 
-def reference_convergence_estimate(params: TripleParams, digits: int) -> ConvergenceEstimate:
+def reference_convergence_estimate(params: TripleParams, digits: int) -> DensityInterval:
     """convergence_estimate as one delta_small call per cutoff.
 
     The same STABLE_STEPS streak over the truncated decimals of
     delta_complete + delta_small(params, d) for d = 1, 2, ..., each sum
-    computed afresh.
+    computed afresh; the interval at the cutoff where it stops reports that
+    cutoff's tail bound as epsilon.
     """
     if not 1 <= digits <= MAX_CONVERGENCE_DIGITS:
         raise ValueError(f"digits must be in [1, {MAX_CONVERGENCE_DIGITS}]")
     dc = delta_complete(params)
     previous = truncated_decimal(dc, digits)
-    value = dc
     streak = 0
     for d in range(1, MAX_CUTOFF + 1):
         _check_printable(params, d, dc)
-        value = dc + delta_small(params, d)
-        current = truncated_decimal(value, digits)
+        ds = delta_small(params, d)
+        current = truncated_decimal(dc + ds, digits)
         streak = streak + 1 if current == previous else 0
         if streak >= STABLE_STEPS:
-            return ConvergenceEstimate(cutoff=d, value=value, decimal=current)
+            return DensityInterval(params, tail_bound(params, d), d, ds)
         previous = current
     raise ConvergenceError(
         f"({params.a}, {params.b}, {params.c}) at {digits} digits: "

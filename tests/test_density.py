@@ -478,14 +478,15 @@ class TestApproximateDensity:
 
 class TestConvergenceEstimate:
     def test_table_examples(self):
-        assert convergence_estimate(T235, 4).decimal == "0.7292"
-        assert convergence_estimate(TripleParams(3, 7, 8), 4).decimal == "0.8727"
-        assert convergence_estimate(TripleParams(2, 7, 9), 4).decimal == "0.8709"
+        for triple, decimal in (((2, 3, 5), "0.7292"), ((3, 7, 8), "0.8727"),
+                                ((2, 7, 9), "0.8709")):
+            est = convergence_estimate(TripleParams(*triple), 4)
+            assert truncated_decimal(est.lower, 4) == decimal
 
     def test_estimate_sits_in_tight_interval(self):
         est = convergence_estimate(T235, 6)
         iv = approximate_density(T235, eps=Fraction(1, 10**8))
-        assert iv.lower - Fraction(1, 10**6) <= est.value <= iv.upper
+        assert iv.lower - Fraction(1, 10**6) <= est.lower <= iv.upper
 
     @pytest.mark.parametrize("triple", [*TABLE_TRIPLES, (2, 3, 1000003)])
     def test_one_walk_equals_one_delta_small_per_cutoff(self, triple):
@@ -493,7 +494,17 @@ class TestConvergenceEstimate:
         for digits in range(1, 13):
             expected = reference_convergence_estimate(t, digits)
             assert convergence_estimate(t, digits) == expected, digits
-            assert len(expected.decimal.partition(".")[2]) == digits
+            assert len(truncated_decimal(expected.lower, digits).partition(".")[2]) == digits
+
+    @pytest.mark.parametrize("triple", TABLE_TRIPLES)
+    def test_returns_a_certified_enclosure_at_its_cutoff(self, triple):
+        t = TripleParams(*triple)
+        deep = approximate_density(t, eps=Fraction(1, 10**30))
+        for digits in range(1, 13):
+            est = convergence_estimate(t, digits)
+            assert isinstance(est, density.DensityInterval)
+            assert est.epsilon == est.tail_bound
+            assert est.lower <= deep.lower <= deep.upper <= est.upper, digits
 
     @pytest.mark.parametrize("digits", [0, 13, -2])
     def test_rejects_bad_digits(self, digits):
@@ -522,5 +533,5 @@ class TestConvergenceEstimate:
         interval = approximate_density(t, eps=Fraction(1, 10 ** (digits + 4)))
         ends = {truncated_decimal(end, digits) for end in (interval.lower, interval.upper)}
         assert ends == {certified}, "the two ends must share the certified digits"
-        estimate = convergence_estimate(t, digits).decimal
+        estimate = truncated_decimal(convergence_estimate(t, digits).lower, digits)
         assert estimate == certified, f"printed {estimate}, recorded {printed}"

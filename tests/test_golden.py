@@ -3,7 +3,7 @@
 The benchmark records one digest per input it runs, in perfbench/golden.json.
 tests/golden_extra.json adds deeper cutoffs, larger bases, converge mode and
 the csv and plain table, each recorded before the density kernel moved to
-row bands.  Each input runs here in-process, so a change that alters any
+row bands, and (2,3,5) at --d 1, whose upper end is clamped to 1.  Each input runs here in-process, so a change that alters any
 output byte fails tier-1, not only the benchmark.
 
 tests/golden_exits.json holds the exit code and the digests of stdout and

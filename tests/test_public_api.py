@@ -60,9 +60,8 @@ def test_every_public_definition_is_used_in_src():
 EXPORTS = {
     "components": ("TripleParams", "admissible_count", "admissible_density", "alpha_complete",
                    "f_table", "q_copy_alpha"),
-    "density": ("ConvergenceEstimate", "DensityInterval", "approximate_density",
-                "choose_cutoff", "convergence_estimate", "delta_complete", "delta_small",
-                "tail_bound"),
+    "density": ("DensityInterval", "approximate_density", "choose_cutoff",
+                "convergence_estimate", "delta_complete", "delta_small", "tail_bound"),
     "oracle": ("VerificationError", "empirical_density"),
     "pair_sidon": ("ExtremalPairSet", "PairParams", "PathDecomposition",
                    "build_path_decomposition", "construct_extremal_set",
@@ -95,6 +94,13 @@ def test_moved_name_lives_in_claims_only(name):
     with pytest.raises(ImportError):
         exec(f"from multsidon import {name}", {})
     assert getattr(claims, name).__module__ == "claims"
+
+
+def test_removed_record_is_gone():
+    # converge mode returns a DensityInterval, so its second record is gone
+    assert "ConvergenceEstimate" not in {*multsidon.__all__, *dir(multsidon), *dir(density)}
+    with pytest.raises(ImportError):
+        exec("from multsidon import ConvergenceEstimate", {})
 
 
 def test_unknown_name_raises_attribute_error():
@@ -157,6 +163,21 @@ def test_pair_records_hold_only_their_inputs():
     assert PathDecomposition._fields == ("params", "lengths")
 
 
+def test_density_interval_holds_only_its_inputs():
+    assert density.DensityInterval._fields == ("params", "epsilon", "cutoff", "delta_small")
+    eps, ds = Fraction(1, 10), density.delta_small(T235, 4)
+    interval = density.DensityInterval(T235, eps, 4, ds)
+    assert interval.lower == density.delta_complete(T235) + ds
+    assert interval.upper == 1 < interval.lower + interval.tail_bound
+    assert interval == density.approximate_density(T235, cutoff=4)._replace(epsilon=eps)
+    # the ends are worked out from the parts, so replacing a part moves both
+    deeper = interval._replace(cutoff=20, delta_small=density.delta_small(T235, 20))
+    assert deeper.upper == deeper.lower + density.tail_bound(T235, 20) < 1
+    step = Fraction(1, 100)
+    moved = deeper._replace(delta_small=deeper.delta_small - step)
+    assert (moved.lower, moved.upper) == (deeper.lower - step, deeper.upper - step)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -181,6 +202,13 @@ def test_pair_records_hold_only_their_inputs():
         (lambda: truncated_decimal(Fraction(-1, 2), 3), ValueError,
          "only nonnegative values are rendered"),
         (lambda: truncated_decimal(Fraction(1, 2), -1), ValueError, "digits must be >= 0"),
+        # a float eps is a binary fraction near the asked value, never that value
+        (lambda: density.approximate_density(T235, eps=0.1), TypeError,
+         "eps must be an int or a Fraction, not the float 0.1"),
+        (lambda: density.choose_cutoff(T235, 0.1), TypeError,
+         "eps must be an int or a Fraction, not the float 0.1"),
+        (lambda: density.approximate_density(T235, cutoff=3.5), TypeError,
+         "'float' object cannot be interpreted as an integer"),
     ],
 )
 def test_library_refuses_bad_arguments(call, error, message):
@@ -199,6 +227,7 @@ def test_path_alpha_reads_the_pair_and_n():
         (reduce_pair(4, 6), "g"),
         (ExtremalPairSet(b"\x00\x01"), "mask"),
         (density.approximate_density(TripleParams(2, 3, 5), cutoff=4), "lower"),
+        (density.approximate_density(TripleParams(2, 3, 5), cutoff=4), "tail_bound"),
     ],
 )
 def test_records_are_immutable(record, field):

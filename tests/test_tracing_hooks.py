@@ -49,6 +49,8 @@ def traced_run(tmp_path: Path, argv: tuple[str, ...]) -> tuple[bytes, dict]:
          {"oracle.empirical_density", "oracle.component_ids"},
          {"oracle.components_visited": VISITED}, {}),
         (("triple-table", "--digits", "4"), {"density.convergence_estimate"}, {}, {}),
+        (("triple-density", "--a", "2", "--b", "3", "--c", "5", "--mode", "converge",
+          "--digits", "6"), {"density.convergence_estimate"}, {}, {}),
     ],
 )
 def test_traced_run_prints_the_untraced_output_and_records_its_spans(
